@@ -494,17 +494,7 @@ impl CacqEngine {
         stream: usize,
         tuples: &[Tuple],
     ) -> Vec<(usize, QueryId, Tuple)> {
-        let n = tuples.len();
-        self.stats.tuples += n as u64;
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.seed_lineage(stream, n) {
-            self.filter_stage_rows(stream, tuples);
-        }
-        let out = self.deliver(stream, tuples);
-        self.sync_metrics();
-        out
+        self.run_batch(stream, tuples, None)
     }
 
     /// [`CacqEngine::push_batch_indexed`] over a typed column batch: the
@@ -522,24 +512,27 @@ impl CacqEngine {
         stream: usize,
         batch: &ColumnBatch,
     ) -> Vec<(usize, QueryId, Tuple)> {
-        let n = batch.len();
+        self.run_batch(stream, batch.rows(), Some(batch))
+    }
+
+    /// One batch through the three stages: `rows` in arrival order, plus
+    /// their typed columns when the caller has them.
+    fn run_batch(
+        &mut self,
+        stream: usize,
+        rows: &[Tuple],
+        batch: Option<&ColumnBatch>,
+    ) -> Vec<(usize, QueryId, Tuple)> {
+        let n = rows.len();
         self.stats.tuples += n as u64;
         if n == 0 {
             return Vec::new();
         }
-        self.stats.columnar_batches += 1;
+        self.stats.columnar_batches += batch.is_some() as u64;
         if self.seed_lineage(stream, n) {
-            if batch.num_cols() == 0 {
-                // Ragged batch: no typed columns at all; every predicated
-                // column re-runs the row kernel for every row.
-                let cols = self.filter_cols.get(&stream).map_or(0, Vec::len);
-                self.stats.columnar_fallback_rows += (cols * n) as u64;
-                self.filter_stage_rows(stream, batch.rows());
-            } else {
-                self.filter_stage_columnar(stream, batch);
-            }
+            self.filter_stage(stream, rows, batch);
         }
-        let out = self.deliver(stream, batch.rows());
+        let out = self.deliver(stream, rows);
         self.sync_metrics();
         out
     }
@@ -561,14 +554,22 @@ impl CacqEngine {
         interested.is_some()
     }
 
-    /// Stage 1, row layout: grouped filters, column-major. For each
-    /// predicated column: count satisfied predicates per slot
-    /// (generation-stamped counters), mark slots whose conjunction on
-    /// *this column* completed, and veto the rest word-parallel. Work per
-    /// tuple is O(log preds + matches), not O(queries), and the filter
-    /// map is probed once per column per batch.
-    fn filter_stage_rows(&mut self, stream: usize, tuples: &[Tuple]) {
-        let n = tuples.len();
+    /// Stage 1: grouped filters, column-major. For each predicated
+    /// column: count satisfied predicates per slot (generation-stamped
+    /// counters), mark slots whose conjunction on *this column*
+    /// completed, and veto the rest word-parallel. Work per tuple is
+    /// O(log preds + matches), not O(queries), and the filter map is
+    /// probed once per column per batch.
+    ///
+    /// A column `batch` typed strictly is read as a typed slice with the
+    /// matching [`GroupedFilter`] kernel; NULL slots (unset validity
+    /// bits) satisfy nothing without entering a kernel, and `Mixed`
+    /// columns re-run the generic kernel per value. A column `batch`
+    /// does not hold — no batch at all (the row layout), a ragged batch,
+    /// or a predicated column beyond the batch arity — is read from
+    /// `rows` through the generic kernel.
+    fn filter_stage(&mut self, stream: usize, rows: &[Tuple], batch: Option<&ColumnBatch>) {
+        let n = rows.len();
         let Some(cols) = self.filter_cols.get(&stream) else {
             return;
         };
@@ -577,58 +578,12 @@ impl CacqEngine {
                 continue;
             };
             self.stats.filter_lookups += n as u64;
-            let needs = &self.col_pred_count[&(stream, col)];
-            let predicated = &self.col_predicated[&(stream, col)];
-            let counters = &mut self.counters;
-            let gens = &mut self.gens;
-            let touched = &mut self.touched;
-            let matched = &mut self.matched_scratch;
-            for (t, tuple) in tuples.iter().enumerate() {
-                self.cur_gen += 1;
-                let cur_gen = self.cur_gen;
-                touched.clear();
-                matched.clear();
-                if let Some(v) = tuple.get(col) {
-                    gf.for_each_match(v, |slot| {
-                        if slot >= counters.len() {
-                            counters.resize(slot + 1, 0);
-                            gens.resize(slot + 1, 0);
-                        }
-                        if gens[slot] != cur_gen {
-                            gens[slot] = cur_gen;
-                            counters[slot] = 0;
-                            touched.push(slot);
-                        }
-                        counters[slot] += 1;
-                    });
-                }
-                for &slot in touched.iter() {
-                    let need = needs.get(slot).copied().unwrap_or(0);
-                    if need > 0 && counters[slot] == need {
-                        matched.insert(slot);
-                    }
-                }
-                self.passed_scratch[t].mask_failed(predicated, matched);
-            }
-        }
-    }
-
-    /// Stage 1, columnar layout: the same column-major conjunction
-    /// counting, but each predicated column is read as a typed slice with
-    /// the matching [`GroupedFilter`] kernel. NULL slots (unset validity
-    /// bits) satisfy nothing without entering a kernel; `Mixed` columns
-    /// re-run the generic row kernel per value.
-    fn filter_stage_columnar(&mut self, stream: usize, batch: &ColumnBatch) {
-        let n = batch.len();
-        let Some(cols) = self.filter_cols.get(&stream) else {
-            return;
-        };
-        for &col in cols {
-            let Some(gf) = self.filters.get(&(stream, col)) else {
-                continue;
-            };
-            self.stats.filter_lookups += n as u64;
-            if matches!(batch.col(col), Some(c) if matches!(c.data, ColumnData::Mixed(_))) {
+            let column = batch.and_then(|b| b.col(col));
+            // A `Mixed` column, and every column of a ragged batch (no
+            // typed columns at all), re-runs the generic kernel per row.
+            if batch.is_some_and(|b| b.num_cols() == 0)
+                || matches!(column, Some(c) if matches!(c.data, ColumnData::Mixed(_)))
+            {
                 self.stats.columnar_fallback_rows += n as u64;
             }
             let needs = &self.col_pred_count[&(stream, col)];
@@ -637,8 +592,7 @@ impl CacqEngine {
             let gens = &mut self.gens;
             let touched = &mut self.touched;
             let matched = &mut self.matched_scratch;
-            let column = batch.col(col);
-            for t in 0..n {
+            for (t, tuple) in rows.iter().enumerate() {
                 self.cur_gen += 1;
                 let cur_gen = self.cur_gen;
                 touched.clear();
@@ -671,10 +625,13 @@ impl CacqEngine {
                     Some((ColumnData::Mixed(vs), _)) if !vs[t].is_null() => {
                         gf.for_each_match(&vs[t], &mut cb);
                     }
-                    // A NULL matches no predicate, and a predicated column
-                    // beyond the batch arity satisfies nothing (the row
-                    // path's `tuple.get(col)` is None).
-                    _ => {}
+                    // A NULL matches no predicate.
+                    Some(_) => {}
+                    None => {
+                        if let Some(v) = tuple.get(col) {
+                            gf.for_each_match(v, &mut cb);
+                        }
+                    }
                 }
                 for &slot in touched.iter() {
                     let need = needs.get(slot).copied().unwrap_or(0);

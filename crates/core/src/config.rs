@@ -94,7 +94,7 @@ pub struct Config {
     /// degree.
     ///
     /// `Config::default()` honors a `TCQ_PARTITIONS` environment
-    /// variable (ignored unless it parses to ≥ 1) so CI can replay the
+    /// variable (an integer ≥ 1; anything else panics) so CI can replay the
     /// entire test suite sharded — outputs are required to be identical,
     /// making every existing assertion a partitioning regression test.
     /// Explicit `partitions:` fields in struct literals still win.
@@ -114,7 +114,7 @@ pub struct Config {
     /// Results are byte-identical to the row path either way.
     ///
     /// `Config::default()` honors a `TCQ_COLUMNAR` environment variable
-    /// (`0` disables, anything else leaves it on) as the escape hatch,
+    /// (`0` disables, `1` leaves it on) as the escape hatch,
     /// so CI replays the full test suite on both paths. Explicit
     /// `columnar:` fields in struct literals still win.
     pub columnar: bool,
@@ -247,43 +247,142 @@ impl Default for Config {
             shed_low_frac: 0.25,
             source_retry_max: 5,
             eo_batch_delay: None,
-            partitions: std::env::var("TCQ_PARTITIONS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&p| p >= 1)
-                .unwrap_or(1),
-            columnar: std::env::var("TCQ_COLUMNAR").map_or(true, |v| v != "0"),
-            durability: std::env::var("TCQ_DURABILITY")
-                .ok()
-                .and_then(|v| Durability::parse(&v))
-                .unwrap_or(Durability::Off),
+            partitions: from_env("TCQ_PARTITIONS", "an integer >= 1", |v| {
+                v.parse().ok().filter(|&p| p >= 1)
+            })
+            .unwrap_or(1),
+            columnar: from_env("TCQ_COLUMNAR", "0 | 1", parse_switch).unwrap_or(true),
+            durability: from_env(
+                "TCQ_DURABILITY",
+                "off | buffered | fsync",
+                Durability::parse,
+            )
+            .unwrap_or(Durability::Off),
             wal_segment_bytes: 4 << 20,
             checkpoint_bytes: 4 << 20,
-            on_storage_error: std::env::var("TCQ_ON_STORAGE_ERROR")
-                .ok()
-                .and_then(|v| OnStorageError::parse(&v))
-                .unwrap_or_default(),
-            mem_budget_bytes: std::env::var("TCQ_MEM_BUDGET")
-                .ok()
-                .and_then(|v| v.parse().ok())
+            on_storage_error: from_env(
+                "TCQ_ON_STORAGE_ERROR",
+                "degrade | halt",
+                OnStorageError::parse,
+            )
+            .unwrap_or_default(),
+            mem_budget_bytes: from_env("TCQ_MEM_BUDGET", BYTES, |v| v.parse().ok())
                 .filter(|&b| b > 0),
-            mem_budget_stream_bytes: std::env::var("TCQ_MEM_BUDGET_STREAM")
-                .ok()
-                .and_then(|v| v.parse().ok())
+            mem_budget_stream_bytes: from_env("TCQ_MEM_BUDGET_STREAM", BYTES, |v| v.parse().ok())
                 .filter(|&b| b > 0),
-            plan_sharing: std::env::var("TCQ_PLAN_SHARING").map_or(true, |v| v != "0"),
-            consistency: std::env::var("TCQ_CONSISTENCY")
-                .ok()
-                .and_then(|v| Consistency::parse(&v))
-                .unwrap_or_default(),
+            plan_sharing: from_env("TCQ_PLAN_SHARING", "0 | 1", parse_switch).unwrap_or(true),
+            consistency: from_env(
+                "TCQ_CONSISTENCY",
+                "watermark | speculative",
+                Consistency::parse,
+            )
+            .unwrap_or_default(),
             step_mode: false,
         }
     }
 }
 
+/// The `TCQ_*` override `name` of a [`Config::default`] field, read
+/// from the environment (see [`env_override`]).
+fn from_env<T>(name: &str, accepted: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    env_override(name, std::env::var(name).ok().as_deref(), accepted, parse)
+}
+
+/// One environment override: `None` when the variable is unset (the
+/// field keeps its default), the parsed value when set.
+///
+/// # Panics
+///
+/// When the variable is set to something `parse` rejects. The overrides
+/// exist so CI can replay the whole suite under another engine
+/// configuration; falling back to the default on a typo would run the
+/// default engine and report the mistyped leg green.
+fn env_override<T>(
+    name: &str,
+    raw: Option<&str>,
+    accepted: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    raw.map(|v| {
+        parse(v).unwrap_or_else(|| panic!("{name}={v:?} is not understood (accepted: {accepted})"))
+    })
+}
+
+/// An on/off override: `0` is off, `1` is on.
+fn parse_switch(v: &str) -> Option<bool> {
+    match v {
+        "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
+    }
+}
+
+/// What a memory-budget override accepts.
+const BYTES: &str = "a byte count, 0 = unbudgeted";
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_override_parses_or_keeps_the_default() {
+        let partitions = |raw| {
+            env_override("TCQ_PARTITIONS", raw, "an integer >= 1", |v| {
+                v.parse::<usize>().ok().filter(|&p| p >= 1)
+            })
+        };
+        assert_eq!(partitions(None), None, "unset keeps the default");
+        assert_eq!(partitions(Some("4")), Some(4));
+        assert_eq!(
+            env_override("TCQ_COLUMNAR", Some("0"), "0 | 1", parse_switch),
+            Some(false)
+        );
+        assert_eq!(
+            env_override("TCQ_DURABILITY", Some("fsync"), "", Durability::parse),
+            Some(Durability::Fsync)
+        );
+        assert_eq!(
+            env_override("TCQ_MEM_BUDGET", Some("4096"), BYTES, |v| v
+                .parse::<u64>()
+                .ok()),
+            Some(4096)
+        );
+    }
+
+    /// The panic a mistyped override must raise instead of falling back
+    /// to the default.
+    fn rejection<T>(name: &str, raw: &str, accepted: &str, parse: impl FnOnce(&str) -> Option<T>) {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            env_override(name, Some(raw), accepted, parse);
+        }));
+        let payload = caught.expect_err("a mistyped override must not fall back to the default");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains(name) && msg.contains(raw) && msg.contains(accepted),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn env_override_rejects_typos_loudly() {
+        let partitions = |v: &str| v.parse::<usize>().ok().filter(|&p| p >= 1);
+        rejection("TCQ_PARTITIONS", "four", "an integer >= 1", partitions);
+        rejection("TCQ_PARTITIONS", "0", "an integer >= 1", partitions);
+        rejection(
+            "TCQ_DURABILITY",
+            "fsnc",
+            "off | buffered | fsync",
+            Durability::parse,
+        );
+        rejection(
+            "TCQ_CONSISTENCY",
+            "spec",
+            "watermark | speculative",
+            Consistency::parse,
+        );
+        rejection("TCQ_COLUMNAR", "false", "0 | 1", parse_switch);
+        rejection("TCQ_MEM_BUDGET", "1GB", BYTES, |v| v.parse::<u64>().ok());
+    }
 
     #[test]
     fn default_config_is_sane() {

@@ -47,32 +47,21 @@ use crate::query::{deliver, MergeRef, ResultSet, RunningQuery};
 
 /// Messages an Execution Object processes.
 pub enum ExecMsg {
-    /// A batch of arriving tuples of a global stream, in arrival order.
-    /// A batch of one is the unbatched pipeline (`Config::batch_size`
-    /// = 1); larger batches amortize queue locks and routing decisions.
+    /// One admitted batch of a global stream, in arrival order. A batch
+    /// of one is the unbatched pipeline (`Config::batch_size` = 1);
+    /// larger batches amortize queue locks and routing decisions.
     Data {
         /// Global stream id.
         stream: usize,
-        /// The tuples, oldest first.
-        tuples: Vec<Tuple>,
-    },
-    /// One partition's share of an admitted batch, routed through the
-    /// Flux exchange (`Config::partitions > 1`). Every partition gets a
-    /// `DataPart` for every admitted batch — possibly with an empty
-    /// share — so egress merges can track admission order.
-    DataPart {
-        /// Global stream id.
-        stream: usize,
-        /// Global admission id (total order over all streams).
-        batch: u64,
-        /// High-water mark of the *full* batch (identical on every
-        /// partition, so window releases stay byte-identical).
-        hw: i64,
-        /// This partition's share: `(offset in the full batch, tuple)`.
-        part: Vec<(u32, Tuple)>,
-        /// The whole admitted batch, for queries resident on this
-        /// partition (windowless joins that could not pin, DISTINCT).
-        full: Arc<Vec<Tuple>>,
+        /// The whole admitted batch, oldest first (one allocation shared
+        /// by every EO's copy of the message).
+        tuples: Arc<Vec<Tuple>>,
+        /// This EO's share of the batch when the Flux exchange sharded
+        /// it (`Config::partitions > 1`); `None` when the EO sees the
+        /// whole batch. Every partition gets a message for every
+        /// admitted batch — possibly with an empty share — so egress
+        /// merges can track admission order.
+        share: Option<BatchShare>,
     },
     /// Fold a new query into the running executor.
     AddQuery(RunningQuery),
@@ -101,6 +90,42 @@ pub enum ExecMsg {
     /// organically, at the first observed regression, which is too late
     /// for windows the high-water mark already released.
     Disordered(usize),
+}
+
+/// One partition's share of an admitted batch. Queries partitioned
+/// across the EOs consume the share; queries resident whole on one EO
+/// (windowless joins that could not pin, DISTINCT) consume the full
+/// batch the message also carries.
+pub struct BatchShare {
+    /// Global admission id (total order over all streams).
+    pub batch: u64,
+    /// `(offset in the full batch, tuple)`, in batch order.
+    pub part: Vec<(u32, Tuple)>,
+}
+
+impl ExecMsg {
+    /// For a data message, `(stream, tuples, budget bytes)` of what it
+    /// holds for its EO — its share of the batch, or all of it. The
+    /// fan-out charges exactly these bytes and whoever takes the message
+    /// off the queue (the EO, or an eviction) releases them.
+    pub(crate) fn data_load(&self) -> Option<(usize, u64, u64)> {
+        let ExecMsg::Data {
+            stream,
+            tuples,
+            share,
+        } = self
+        else {
+            return None;
+        };
+        Some(match share {
+            Some(s) => (
+                *stream,
+                s.part.len() as u64,
+                approx_keyed_tuples_bytes(&s.part),
+            ),
+            None => (*stream, tuples.len() as u64, approx_tuples_bytes(tuples)),
+        })
+    }
 }
 
 /// What class of failure produced a `tcq$errors` row — so operators
@@ -225,11 +250,8 @@ pub struct ExecutionObject {
     metrics: Option<tcq_metrics::Registry>,
     /// Per-data-batch processing latency, µs.
     batch_hist: Option<Arc<tcq_metrics::Histogram>>,
-    /// Where quarantined faults are reported (the server feeds them to
-    /// `tcq$errors`).
-    errors_tx: Sender<ErrorEvent>,
-    /// Quarantined-batch count for this EO (flows into `tcq$operators`).
-    quarantined: Option<Arc<tcq_metrics::Counter>>,
+    /// The quarantine boundary's reporting side.
+    faults: FaultSink,
     /// Conservation counters of the Flux exchange, present iff the
     /// server runs partitioned (`Config::partitions > 1`); this EO is
     /// partition `eo_id`.
@@ -349,28 +371,117 @@ fn payload_str(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Record one quarantined fault: mark the owning query degraded, bump the
-/// EO counter, and report the event (free function so callers can hold
-/// disjoint borrows into the query maps).
-fn report_quarantine(
-    errors_tx: &Sender<ErrorEvent>,
-    quarantined: &Option<Arc<tcq_metrics::Counter>>,
-    degraded: &Arc<AtomicBool>,
-    query: u64,
-    operator: &str,
-    payload: String,
-) {
-    degraded.store(true, Ordering::Relaxed);
-    if let Some(c) = quarantined {
-        c.inc();
+/// Run `f` inside the quarantine boundary, turning a panic into its
+/// stringified payload. `armed` is an injected fault
+/// ([`ExecMsg::InjectPanic`]) this execution consumes.
+fn contain<R>(armed: bool, f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if armed {
+            panic!("injected operator fault");
+        }
+        f()
+    }))
+    .map_err(payload_str)
+}
+
+/// Where an EO's quarantined faults go (a struct of its own so callers
+/// can hold disjoint borrows into the query maps).
+struct FaultSink {
+    /// The server feeds these to `tcq$errors`.
+    errors_tx: Sender<ErrorEvent>,
+    /// Quarantined-batch count for this EO (flows into `tcq$operators`).
+    quarantined: Option<Arc<tcq_metrics::Counter>>,
+}
+
+impl FaultSink {
+    /// Record one quarantined fault: mark the owning queries degraded,
+    /// bump the EO counter, and report the event.
+    fn report<'a>(
+        &self,
+        degraded: impl IntoIterator<Item = &'a Arc<AtomicBool>>,
+        query: u64,
+        operator: &str,
+        payload: String,
+    ) {
+        for d in degraded {
+            d.store(true, Ordering::Relaxed);
+        }
+        if let Some(c) = &self.quarantined {
+            c.inc();
+        }
+        // A dropped receiver just means the server is shutting down.
+        let _ = self.errors_tx.send(ErrorEvent {
+            query,
+            operator: operator.to_string(),
+            payload,
+            kind: ErrorKind::OperatorPanic,
+        });
     }
-    // A dropped receiver just means the server is shutting down.
-    let _ = errors_tx.send(ErrorEvent {
-        query,
-        operator: operator.to_string(),
-        payload,
-        kind: ErrorKind::OperatorPanic,
-    });
+
+    /// [`contain`] + [`FaultSink::report`] for the data path: a
+    /// panicking stage costs its query this one batch — the stage yields
+    /// nothing — and everything after it proceeds.
+    fn quarantine<'a, R: Default>(
+        &self,
+        degraded: impl IntoIterator<Item = &'a Arc<AtomicBool>>,
+        query: u64,
+        operator: &str,
+        armed: bool,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        contain(armed, f).unwrap_or_else(|payload| {
+            self.report(degraded, query, operator, payload);
+            R::default()
+        })
+    }
+}
+
+/// One grouped-filter pass of `engine` over `rows`: a `(index into
+/// rows, engine query id, delivered tuple)` triple per match. With
+/// columnar execution on, the rows are transposed once here and the
+/// engine's typed kernels consume column slices; the two engine paths
+/// are byte-identical, so either works under any config.
+fn grouped_pass(
+    engine: &mut CacqEngine,
+    columnar: bool,
+    stream: usize,
+    rows: &[Tuple],
+) -> Vec<(usize, u64, Tuple)> {
+    if columnar && engine.query_count() > 0 {
+        engine.push_batch_columnar(stream, &ColumnBatch::from_tuples(rows.to_vec()))
+    } else {
+        engine.push_batch_indexed(stream, rows)
+    }
+}
+
+/// Deliver a result set, if it has any rows: one batch's streamed
+/// results (`window_t: None`), or the deltas amending a window instant.
+fn deliver_rows(output: &tcq_fjords::Fjord<ResultSet>, window_t: Option<i64>, rows: Vec<Tuple>) {
+    if !rows.is_empty() {
+        deliver(output, ResultSet { window_t, rows });
+    }
+}
+
+/// The merge-or-deliver rule for one query's result rows on one batch:
+/// a partitioned query offers them — empty included — to its egress
+/// merge, each keyed by its driver tuple's offset in the full batch (the
+/// order the merge restores; `offsets` is parallel to `rows`); any other
+/// query delivers them directly, when there are any, and keeps no
+/// offsets.
+fn emit(
+    merge: Option<&MergeRef>,
+    output: &tcq_fjords::Fjord<ResultSet>,
+    part: usize,
+    batch: u64,
+    (offsets, rows): (Vec<u32>, Vec<Tuple>),
+) {
+    match merge {
+        Some(merge) => {
+            let keyed = offsets.into_iter().zip(rows).collect();
+            offer_and_deliver(merge, output, part, batch, keyed)
+        }
+        None => deliver_rows(output, None, rows),
+    }
 }
 
 /// Offer one partition's result rows for one admitted batch to a
@@ -386,15 +497,7 @@ pub(crate) fn offer_and_deliver(
 ) {
     let releases = merge.lock().unwrap().offer(part, batch, 0, rows);
     for rel in releases {
-        if !rel.rows.is_empty() {
-            deliver(
-                output,
-                ResultSet {
-                    window_t: None,
-                    rows: rel.rows,
-                },
-            );
-        }
+        deliver_rows(output, None, rel.rows);
     }
 }
 
@@ -436,8 +539,10 @@ impl ExecutionObject {
             punctuated: HashMap::new(),
             metrics,
             batch_hist,
-            errors_tx,
-            quarantined,
+            faults: FaultSink {
+                errors_tx,
+                quarantined,
+            },
             exchange,
             budget,
         }
@@ -448,32 +553,22 @@ impl ExecutionObject {
         self.shared_ids.len() + self.eddies.len() + self.windowed.len()
     }
 
-    /// Process one message. Returns `false` only for barrier plumbing
-    /// errors (ignored by the caller).
+    /// Process one message.
     pub fn handle(&mut self, msg: ExecMsg) {
         if let Some(budget) = &self.budget {
             // The message is leaving the queue: its in-flight charge
             // (made at fan-out, with the identical estimator) ends
             // here, whatever processing does with it.
-            match &msg {
-                ExecMsg::Data { stream, tuples } => {
-                    budget.release(*stream, approx_tuples_bytes(tuples));
-                }
-                ExecMsg::DataPart { stream, part, .. } => {
-                    budget.release(*stream, approx_keyed_tuples_bytes(part));
-                }
-                _ => {}
+            if let Some((stream, _, bytes)) = msg.data_load() {
+                budget.release(stream, bytes);
             }
         }
         match msg {
-            ExecMsg::Data { stream, tuples } => self.on_data_batch(stream, tuples),
-            ExecMsg::DataPart {
+            ExecMsg::Data {
                 stream,
-                batch,
-                hw,
-                part,
-                full,
-            } => self.on_data_part(stream, batch, hw, part, &full),
+                tuples,
+                share,
+            } => self.on_data(stream, &tuples, share),
             ExecMsg::AddQuery(q) => self.add_query(q),
             ExecMsg::RemoveQuery(id) => self.remove_query(id),
             ExecMsg::Barrier(ack) => {
@@ -692,31 +787,56 @@ impl ExecutionObject {
         self.leave_family(id);
     }
 
-    fn on_data_batch(&mut self, stream: usize, tuples: Vec<Tuple>) {
-        if tuples.is_empty() {
-            return;
-        }
+    /// Process one admitted batch: all of it, or — behind the Flux
+    /// exchange — this partition's `share` of it. Every query class runs
+    /// once. Partitioned queries (the ones carrying an egress merge)
+    /// consume the share and *must offer* their results — empty
+    /// included — to the merge, or its admission-order watermark
+    /// stalls; everyone else consumes the whole batch and delivers
+    /// directly when there is something to deliver. Without a share the
+    /// whole batch is the share and no query carries a merge.
+    fn on_data(&mut self, stream: usize, tuples: &[Tuple], share: Option<BatchShare>) {
+        let part_of = self.eo_id as usize;
+        let (batch, offsets, owned) = match share {
+            Some(BatchShare { batch, part }) => {
+                let (offsets, owned): (Vec<u32>, Vec<Tuple>) = part.into_iter().unzip();
+                (batch, Some(offsets), owned)
+            }
+            None => (0, None, Vec::new()),
+        };
+        let mine: &[Tuple] = if offsets.is_some() { &owned } else { tuples };
+        // Offsets key the merge's order restoration, so results carry
+        // their driver tuple's offset in the full batch.
+        let offset_of = |i: usize| offsets.as_ref().map_or(i as u32, |o| o[i]);
         tcq_metrics::tcq_trace!(
-            "eo{}: data stream={} batch={}",
+            "eo{}: data stream={} batch={} share={}/{}",
             self.eo_id,
             stream,
+            batch,
+            mine.len(),
             tuples.len()
         );
         let timer = self.batch_hist.as_ref().map(|_| std::time::Instant::now());
         if let Some(delay) = self.config.eo_batch_delay {
-            // Load-simulation knob: pretend each batch costs this much.
-            // Step mode never sleeps — backlog arises naturally there
-            // because nothing drains an EO until it is stepped.
-            if !self.config.step_mode {
-                std::thread::sleep(delay);
+            // Load-simulation knob: pretend each batch costs this much,
+            // scaled by this EO's share of it — partitioned workers
+            // split a batch's work, which is exactly the speedup E13
+            // measures. Step mode never sleeps — backlog arises
+            // naturally there because nothing drains an EO until it is
+            // stepped.
+            if !self.config.step_mode && !tuples.is_empty() {
+                std::thread::sleep(delay.mul_f64(mine.len() as f64 / tuples.len() as f64));
             }
         }
-        // Advance the stream head, noting *late* ticks (below the
-        // running high-water mark): they flag the stream disordered and
-        // may re-open speculatively emitted windows.
+        // Advance the stream head over the *full* batch — every
+        // partition advances identically, so window releases don't
+        // depend on which partition the right-end tuple hashed to —
+        // noting *late* ticks (below the running high-water mark): they
+        // flag the stream disordered, on every partition at the same
+        // admitted batch, and may re-open speculatively emitted windows.
         let hw = self.high_water.entry(stream).or_insert(i64::MIN);
         let mut late: Vec<i64> = Vec::new();
-        for t in &tuples {
+        for t in tuples {
             let ticks = t.ts().ticks();
             if ticks < *hw {
                 late.push(ticks);
@@ -727,88 +847,67 @@ impl ExecutionObject {
             self.disordered.insert(stream);
         }
         *self.data_versions.entry(stream).or_insert(0) += 1;
+        if let Some(ex) = &self.exchange {
+            ex.part(part_of)
+                .processed
+                .fetch_add(mine.len() as u64, Ordering::SeqCst);
+        }
 
         // Shared class: one grouped-filter pass per predicated column
-        // per batch. With columnar execution on, the batch is transposed
-        // once at this ingress boundary and the engine's typed kernels
-        // consume column slices; downstream consumers still see rows. A
-        // panic in the shared engine is quarantined but not attributable
-        // to one query, so every folded query is degraded.
-        let columnar = self.config.columnar && !self.shared_ids.is_empty();
-        let matched = match catch_unwind(AssertUnwindSafe(|| {
-            if columnar {
-                let batch = ColumnBatch::from_tuples(tuples.clone());
-                self.shared
-                    .push_batch_columnar(stream, &batch)
-                    .into_iter()
-                    .map(|(_, id, t)| (id, t))
-                    .collect()
-            } else {
-                self.shared.push_batch(stream, &tuples)
-            }
-        })) {
-            Ok(matched) => matched,
-            Err(e) => {
-                let payload = payload_str(e);
-                for sq in self.shared_by_slot.values() {
-                    sq.degraded.store(true, Ordering::Relaxed);
-                }
-                if let Some(c) = &self.quarantined {
-                    c.inc();
-                }
-                let _ = self.errors_tx.send(ErrorEvent {
-                    query: 0,
-                    operator: "cacq".to_string(),
-                    payload,
-                    kind: ErrorKind::OperatorPanic,
-                });
-                Vec::new()
-            }
-        };
-        if !matched.is_empty() {
-            // Group per query into one result set.
-            let mut per_query: HashMap<u64, Vec<Tuple>> = HashMap::new();
-            for (cacq_id, t) in matched {
-                per_query.entry(cacq_id).or_default().push(t);
-            }
-            for (cacq_id, rows) in per_query {
-                if let Some(sq) = self.shared_by_slot.get_mut(&cacq_id) {
-                    let armed = std::mem::take(&mut sq.panic_armed);
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if armed {
-                            panic!("injected operator fault");
-                        }
-                        let mut projected: Vec<Tuple> = rows
-                            .iter()
-                            .filter(|t| sq.residual.iter().all(|e| e.eval_pred(t).unwrap_or(false)))
-                            .filter_map(|t| sq.plan.project(t).ok())
-                            .collect();
-                        if let Some(d) = &mut sq.distinct {
-                            projected.retain(|t| d.push(t.clone()).is_some());
-                        }
-                        if projected.is_empty() {
-                            return;
-                        }
-                        deliver(
-                            &sq.output,
-                            ResultSet {
-                                window_t: None,
-                                rows: projected,
-                            },
-                        );
-                    }));
-                    if let Err(e) = result {
-                        report_quarantine(
-                            &self.errors_tx,
-                            &self.quarantined,
-                            &sq.degraded,
-                            sq.qid,
-                            "shared_filter",
-                            payload_str(e),
-                        );
-                    }
+        // per batch. A panic in the shared engine is quarantined but not
+        // attributable to one query, so every folded query is degraded.
+        let faults = &self.faults;
+        let shared = &mut self.shared;
+        let columnar = self.config.columnar;
+        let degraded = self.shared_by_slot.values().map(|sq| &sq.degraded);
+        let matched = faults.quarantine(degraded, 0, "cacq", false, || {
+            grouped_pass(shared, columnar, stream, mine)
+        });
+        // Group the matches per query, as positions in `matched`.
+        let mut per_query: HashMap<u64, Vec<u32>> = HashMap::new();
+        if offsets.is_some() {
+            // Must-offer: behind the exchange every partitioned query
+            // reading this stream takes part in every batch, matched or
+            // not. (Only then: finding them costs O(queries) per batch.)
+            for (cacq_id, sq) in &self.shared_by_slot {
+                if sq.merge.is_some() && sq.stream == stream {
+                    per_query.insert(*cacq_id, Vec::new());
                 }
             }
+        }
+        for (pos, (_, cacq_id, _)) in matched.iter().enumerate() {
+            per_query.entry(*cacq_id).or_default().push(pos as u32);
+        }
+        for (cacq_id, hits) in per_query {
+            let Some(sq) = self.shared_by_slot.get_mut(&cacq_id) else {
+                continue;
+            };
+            let merged = sq.merge.is_some();
+            let armed = std::mem::take(&mut sq.panic_armed);
+            // On a fault the batch is lost for this query, but its merge
+            // still gets the (empty) offer it needs to advance.
+            let results = faults.quarantine([&sq.degraded], sq.qid, "shared_filter", armed, || {
+                let mut offs = Vec::new();
+                let mut rows: Vec<Tuple> = hits
+                    .iter()
+                    .map(|&pos| &matched[pos as usize])
+                    .filter(|(_, _, t)| sq.residual.iter().all(|e| e.eval_pred(t).unwrap_or(false)))
+                    .filter_map(|(idx, _, t)| {
+                        let row = sq.plan.project(t).ok()?;
+                        if merged {
+                            offs.push(offset_of(*idx));
+                        }
+                        Some(row)
+                    })
+                    .collect();
+                // Never on a partitioned query (DISTINCT keeps a query
+                // resident), so `offs` stays parallel to `rows`.
+                if let Some(d) = &mut sq.distinct {
+                    rows.retain(|t| d.push(t.clone()).is_some());
+                }
+                (offs, rows)
+            });
+            emit(sq.merge.as_ref(), &sq.output, part_of, batch, results);
         }
 
         // Eddy class: whole batches share routing decisions. A
@@ -818,268 +917,33 @@ impl ExecutionObject {
         // batch runs inside its own quarantine boundary, so one
         // panicking operator costs its query one batch, not the server.
         for (&qid, eq) in self.eddies.iter_mut() {
-            let Some(positions) = eq.positions.get(&stream).cloned() else {
+            let Some(positions) = eq.positions.get(&stream) else {
                 continue;
             };
+            let merged = eq.merge.is_some();
+            let input = if merged { mine } else { tuples };
             let armed = std::mem::take(&mut eq.panic_armed);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if armed {
-                    panic!("injected operator fault");
-                }
-                let mut outs = Vec::new();
-                for &pos in &positions {
-                    outs.extend(eq.eddy.push_batch(pos, tuples.clone()));
-                }
-                if !outs.is_empty() {
-                    let mut rows: Vec<Tuple> = outs
-                        .iter()
-                        .filter_map(|t| eq.plan.project(t).ok())
-                        .collect();
-                    if let Some(d) = &mut eq.distinct {
-                        rows.retain(|t| d.push(t.clone()).is_some());
-                    }
-                    if rows.is_empty() {
-                        return;
-                    }
-                    deliver(
-                        &eq.output,
-                        ResultSet {
-                            window_t: None,
-                            rows,
-                        },
-                    );
-                }
-            }));
-            if let Err(e) = result {
-                report_quarantine(
-                    &self.errors_tx,
-                    &self.quarantined,
-                    &eq.degraded,
-                    qid,
-                    "eddy",
-                    payload_str(e),
-                );
-            }
-        }
-
-        // Windowed class: late arrivals may amend speculatively emitted
-        // instants; the new high water may release further windows.
-        self.amend_windows(stream, &late);
-        self.drive_windows();
-
-        if let (Some(hist), Some(start)) = (&self.batch_hist, timer) {
-            hist.record(start.elapsed().as_micros() as u64);
-        }
-    }
-
-    /// Process this partition's share of one admitted batch
-    /// (`Config::partitions > 1`). Partitioned queries consume the share
-    /// and *must offer* their results — empty included — to their egress
-    /// merge, or its admission-order watermark stalls; resident queries
-    /// consume the full batch exactly as in single-partition mode.
-    fn on_data_part(
-        &mut self,
-        stream: usize,
-        batch: u64,
-        hw: i64,
-        part: Vec<(u32, Tuple)>,
-        full: &Arc<Vec<Tuple>>,
-    ) {
-        tcq_metrics::tcq_trace!(
-            "eo{}: part stream={} batch={} share={}/{}",
-            self.eo_id,
-            stream,
-            batch,
-            part.len(),
-            full.len()
-        );
-        let timer = self.batch_hist.as_ref().map(|_| std::time::Instant::now());
-        if let Some(delay) = self.config.eo_batch_delay {
-            // The load-simulation cost scales with this partition's
-            // share: partitioned workers split a batch's work, which is
-            // exactly the speedup E13 measures.
-            if !self.config.step_mode && !full.is_empty() {
-                std::thread::sleep(delay.mul_f64(part.len() as f64 / full.len() as f64));
-            }
-        }
-        // The high-water mark is the *full* batch's — every partition
-        // advances identically, so window releases don't depend on which
-        // partition the right-end tuple hashed to. Disorder detection
-        // walks the full batch for the same reason: every partition
-        // flags the stream at the same admitted batch.
-        let e = self.high_water.entry(stream).or_insert(i64::MIN);
-        let mut late: Vec<i64> = Vec::new();
-        for t in full.iter() {
-            let ticks = t.ts().ticks();
-            if ticks < *e {
-                late.push(ticks);
-            }
-            *e = (*e).max(ticks);
-        }
-        *e = (*e).max(hw);
-        if !late.is_empty() {
-            self.disordered.insert(stream);
-        }
-        *self.data_versions.entry(stream).or_insert(0) += 1;
-        if let Some(ex) = &self.exchange {
-            ex.part(self.eo_id as usize)
-                .processed
-                .fetch_add(part.len() as u64, Ordering::SeqCst);
-        }
-        let part_of = self.eo_id as usize;
-        let (offsets, share): (Vec<u32>, Vec<Tuple>) = part.into_iter().unzip();
-
-        // Shared class over the share. Offsets key the merge's order
-        // restoration, so matches carry their index into the share.
-        let columnar = self.config.columnar && !self.shared_ids.is_empty();
-        let indexed = match catch_unwind(AssertUnwindSafe(|| {
-            if columnar {
-                let batch = ColumnBatch::from_tuples(share.clone());
-                self.shared.push_batch_columnar(stream, &batch)
-            } else {
-                self.shared.push_batch_indexed(stream, &share)
-            }
-        })) {
-            Ok(indexed) => indexed,
-            Err(e) => {
-                let payload = payload_str(e);
-                for sq in self.shared_by_slot.values() {
-                    sq.degraded.store(true, Ordering::Relaxed);
-                }
-                if let Some(c) = &self.quarantined {
-                    c.inc();
-                }
-                let _ = self.errors_tx.send(ErrorEvent {
-                    query: 0,
-                    operator: "cacq".to_string(),
-                    payload,
-                    kind: ErrorKind::OperatorPanic,
-                });
-                Vec::new()
-            }
-        };
-        let mut per_query: HashMap<u64, Vec<(u32, Tuple)>> = HashMap::new();
-        for (idx, cacq_id, t) in indexed {
-            per_query
-                .entry(cacq_id)
-                .or_default()
-                .push((offsets[idx], t));
-        }
-        for (cacq_id, sq) in self.shared_by_slot.iter_mut() {
-            let Some(merge) = &sq.merge else {
-                continue; // resident shared queries only exist at P=1
-            };
-            if sq.stream != stream {
-                continue; // merges only track batches of streams they read
-            }
-            let rows = per_query.remove(cacq_id).unwrap_or_default();
-            let armed = std::mem::take(&mut sq.panic_armed);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if armed {
-                    panic!("injected operator fault");
-                }
-                rows.iter()
-                    .filter(|(_, t)| sq.residual.iter().all(|e| e.eval_pred(t).unwrap_or(false)))
-                    .filter_map(|(off, t)| sq.plan.project(t).ok().map(|p| (*off, p)))
-                    .collect::<Vec<(u32, Tuple)>>()
-            }));
-            let projected = match result {
-                Ok(projected) => projected,
-                Err(e) => {
-                    report_quarantine(
-                        &self.errors_tx,
-                        &self.quarantined,
-                        &sq.degraded,
-                        sq.qid,
-                        "shared_filter",
-                        payload_str(e),
-                    );
-                    // The batch is lost for this query (as at P=1), but
-                    // the merge still needs the offer to advance.
-                    Vec::new()
-                }
-            };
-            offer_and_deliver(merge, &sq.output, part_of, batch, projected);
-        }
-
-        // Eddy class: partitioned queries feed the share with driver
-        // attribution; resident queries feed the full batch, exactly the
-        // single-partition path.
-        for (&qid, eq) in self.eddies.iter_mut() {
-            let Some(positions) = eq.positions.get(&stream).cloned() else {
-                continue;
-            };
-            let armed = std::mem::take(&mut eq.panic_armed);
-            if let Some(merge) = &eq.merge {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if armed {
-                        panic!("injected operator fault");
-                    }
-                    let mut outs = Vec::new();
-                    for &pos in &positions {
-                        outs.extend(eq.eddy.push_batch_attributed(pos, share.clone()));
-                    }
-                    outs.iter()
-                        .filter_map(|(i, t)| {
-                            eq.plan.project(t).ok().map(|p| (offsets[*i as usize], p))
-                        })
-                        .collect::<Vec<(u32, Tuple)>>()
-                }));
-                let rows = match result {
-                    Ok(rows) => rows,
-                    Err(e) => {
-                        report_quarantine(
-                            &self.errors_tx,
-                            &self.quarantined,
-                            &eq.degraded,
-                            qid,
-                            "eddy",
-                            payload_str(e),
-                        );
-                        Vec::new()
-                    }
-                };
-                offer_and_deliver(merge, &eq.output, part_of, batch, rows);
-            } else {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if armed {
-                        panic!("injected operator fault");
-                    }
-                    let mut outs = Vec::new();
-                    for &pos in &positions {
-                        outs.extend(eq.eddy.push_batch(pos, (**full).clone()));
-                    }
-                    if !outs.is_empty() {
-                        let mut rows: Vec<Tuple> = outs
-                            .iter()
-                            .filter_map(|t| eq.plan.project(t).ok())
-                            .collect();
-                        if let Some(d) = &mut eq.distinct {
-                            rows.retain(|t| d.push(t.clone()).is_some());
+            let results = faults.quarantine([&eq.degraded], qid, "eddy", armed, || {
+                let mut offs = Vec::new();
+                let mut rows: Vec<Tuple> = Vec::new();
+                for &pos in positions {
+                    for (i, t) in eq.eddy.push_batch_attributed(pos, input.to_vec()) {
+                        let Ok(row) = eq.plan.project(&t) else {
+                            continue;
+                        };
+                        if merged {
+                            offs.push(offset_of(i as usize));
                         }
-                        if rows.is_empty() {
-                            return;
-                        }
-                        deliver(
-                            &eq.output,
-                            ResultSet {
-                                window_t: None,
-                                rows,
-                            },
-                        );
+                        rows.push(row);
                     }
-                }));
-                if let Err(e) = result {
-                    report_quarantine(
-                        &self.errors_tx,
-                        &self.quarantined,
-                        &eq.degraded,
-                        qid,
-                        "eddy",
-                        payload_str(e),
-                    );
                 }
-            }
+                // As for the shared class: never on a partitioned query.
+                if let Some(d) = &mut eq.distinct {
+                    rows.retain(|t| d.push(t.clone()).is_some());
+                }
+                (offs, rows)
+            });
+            emit(eq.merge.as_ref(), &eq.output, part_of, batch, results);
         }
 
         // Windowed class: late arrivals may amend speculatively emitted
@@ -1130,49 +994,30 @@ impl ExecutionObject {
             if !evaluable {
                 return false;
             }
-            let armed = {
-                let wq = self.windowed.get_mut(&id).expect("caller checked");
-                std::mem::take(&mut wq.panic_armed)
-            };
-            // Quarantine boundary: a panicking window evaluation costs
-            // this query that one window instant; the loop still
-            // advances so later windows (and other queries) proceed.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if armed {
-                    panic!("injected operator fault");
-                }
-                self.evaluate_window(id, t)
-            }));
+            // A panicking window evaluation costs this query that one
+            // window instant; the loop still advances so later windows
+            // (and other queries) proceed.
+            let result = self.evaluate_quarantined(id, t, "window_eval");
             let wq = self.windowed.get_mut(&id).expect("still present");
-            match result {
-                Ok(rs) => {
-                    let snapshot = wq
-                        .plan
-                        .window
-                        .as_ref()
-                        .is_some_and(|seq| seq.header.cond == LoopCond::Once);
-                    if wq.consistency == Consistency::Speculative && amendable && !snapshot {
-                        // Record the baseline (empty included: a late
-                        // arrival may add rows to an empty instant).
-                        // Instants a punctuation already proved closed
-                        // skip this — no amendable tuple can arrive, so
-                        // holding a baseline would only defer teardown.
-                        // Snapshot queries are exempt either way: a
-                        // one-shot read answers as of submission and
-                        // tears down; it has no standing consumer left
-                        // to fold a retraction into.
-                        wq.emitted.insert(t, rs.rows.clone());
-                    }
-                    deliver(&wq.output, rs);
+            if let Some(rs) = result {
+                let snapshot = wq
+                    .plan
+                    .window
+                    .as_ref()
+                    .is_some_and(|seq| seq.header.cond == LoopCond::Once);
+                if wq.consistency == Consistency::Speculative && amendable && !snapshot {
+                    // Record the baseline (empty included: a late
+                    // arrival may add rows to an empty instant).
+                    // Instants a punctuation already proved closed
+                    // skip this — no amendable tuple can arrive, so
+                    // holding a baseline would only defer teardown.
+                    // Snapshot queries are exempt either way: a
+                    // one-shot read answers as of submission and
+                    // tears down; it has no standing consumer left
+                    // to fold a retraction into.
+                    wq.emitted.insert(t, rs.rows.clone());
                 }
-                Err(e) => report_quarantine(
-                    &self.errors_tx,
-                    &self.quarantined,
-                    &wq.degraded,
-                    id,
-                    "window_eval",
-                    payload_str(e),
-                ),
+                deliver(&wq.output, rs);
             }
             wq.pending_t = wq.loop_values.next();
             if wq.pending_t.is_none() {
@@ -1267,41 +1112,30 @@ impl ExecutionObject {
     /// streams — fold by sign, converging on the answer a
     /// watermark-held evaluation would have produced.
     fn amend_instant(&mut self, id: u64, t: i64) {
-        let armed = {
-            let wq = self.windowed.get_mut(&id).expect("caller checked");
-            std::mem::take(&mut wq.panic_armed)
+        // A panicking amendment costs the query that delta, nothing
+        // else.
+        let Some(rs) = self.evaluate_quarantined(id, t, "window_amend") else {
+            return;
         };
-        // Same quarantine boundary as first evaluation: a panicking
-        // amendment costs the query that delta, nothing else.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if armed {
-                panic!("injected operator fault");
-            }
-            self.evaluate_window(id, t)
-        }));
         let wq = self.windowed.get_mut(&id).expect("still present");
-        match result {
-            Ok(rs) => {
-                let old = wq.emitted.insert(t, rs.rows.clone()).unwrap_or_default();
-                let deltas = amendment_deltas(&old, &rs.rows);
-                if !deltas.is_empty() {
-                    deliver(
-                        &wq.output,
-                        ResultSet {
-                            window_t: Some(t),
-                            rows: deltas,
-                        },
-                    );
-                }
+        let old = wq.emitted.insert(t, rs.rows.clone()).unwrap_or_default();
+        deliver_rows(&wq.output, Some(t), amendment_deltas(&old, &rs.rows));
+    }
+
+    /// [`ExecutionObject::evaluate_window`] inside the quarantine
+    /// boundary, consuming the query's armed fault if it has one. On a
+    /// panic the fault is reported against `operator` and the instant
+    /// yields nothing.
+    fn evaluate_quarantined(&mut self, id: u64, t: i64, operator: &str) -> Option<ResultSet> {
+        let wq = self.windowed.get_mut(&id).expect("caller checked");
+        let armed = std::mem::take(&mut wq.panic_armed);
+        match contain(armed, || self.evaluate_window(id, t)) {
+            Ok(rs) => Some(rs),
+            Err(payload) => {
+                let degraded = [&self.windowed[&id].degraded];
+                self.faults.report(degraded, id, operator, payload);
+                None
             }
-            Err(e) => report_quarantine(
-                &self.errors_tx,
-                &self.quarantined,
-                &wq.degraded,
-                id,
-                "window_amend",
-                payload_str(e),
-            ),
         }
     }
 
@@ -1501,16 +1335,9 @@ impl ExecutionObject {
             let archive = archives.get(gid);
             let rows = archive.lock().unwrap().scan(l, r).unwrap_or_default();
             // One grouped-filter pass for all members with indexable
-            // factors; the columnar engine path is byte-identical to
-            // the row path, so either works under any config.
-            let indexed = if columnar && !rows.is_empty() {
-                let batch = ColumnBatch::from_tuples(rows.clone());
-                fam.engine.push_batch_columnar(gid, &batch)
-            } else {
-                fam.engine.push_batch_indexed(gid, &rows)
-            };
+            // factors.
             let mut matches: HashMap<u64, Vec<u32>> = HashMap::new();
-            for (idx, cacq_id, _) in indexed {
+            for (idx, cacq_id, _) in grouped_pass(&mut fam.engine, columnar, gid, &rows) {
                 matches.entry(cacq_id).or_default().push(idx as u32);
             }
             fam.cache = Some(FamilyEval {

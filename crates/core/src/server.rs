@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Mutex, RwLock};
 
-use tcq_common::membudget::{approx_keyed_tuples_bytes, approx_tuples_bytes};
+use tcq_common::membudget::approx_tuples_bytes;
 use tcq_common::rng::SplitMix64;
 use tcq_common::{
     BudgetSet, Catalog, Clock, DataType, Durability, Field, HealthState, OnStorageError, Result,
@@ -27,7 +27,8 @@ use tcq_sql::QueryPlan;
 
 use crate::config::Config;
 use crate::executor::{
-    offer_and_deliver, validate_plan, ArchiveSet, ErrorEvent, ErrorKind, ExecMsg, ExecutionObject,
+    offer_and_deliver, validate_plan, ArchiveSet, BatchShare, ErrorEvent, ErrorKind, ExecMsg,
+    ExecutionObject,
 };
 use crate::query::{MergeRef, QueryHandle, ResultSet, RunningQuery};
 
@@ -1988,29 +1989,7 @@ impl Inner {
         if budget.fits(gid, bytes) {
             return false;
         }
-        let mut evicted = 0u64;
-        let mut evicted_parts: Vec<(usize, u64)> = Vec::new();
-        'queues: for (eo_idx, input) in self.eo_inputs.iter().enumerate() {
-            loop {
-                if budget.fits(gid, bytes) {
-                    break 'queues;
-                }
-                let victims = input.evict_oldest_where(1, |m| {
-                    matches!(m,
-                        ExecMsg::Data { stream, .. } if *stream == gid)
-                        || matches!(m,
-                        ExecMsg::DataPart { stream, .. } if *stream == gid)
-                });
-                if victims.is_empty() {
-                    break;
-                }
-                for v in victims {
-                    self.account_eviction(eo_idx, v, &mut evicted, &mut evicted_parts);
-                }
-            }
-        }
-        self.offer_evicted_parts(gid, evicted_parts);
-        st.shed += evicted;
+        self.evict_oldest(gid, st, |_| !budget.fits(gid, bytes));
         if budget.fits(gid, bytes) {
             return false;
         }
@@ -2034,7 +2013,9 @@ impl Inner {
     /// trace), so continuing to admit over a hole would corrupt
     /// results, not just durability.
     fn admit(&self, gid: usize, tuples: Vec<Tuple>) -> Result<()> {
-        let high_water = tuples.iter().map(|t| t.ts().ticks()).max().unwrap();
+        let Some(high_water) = tuples.iter().map(|t| t.ts().ticks()).max() else {
+            return Ok(()); // an empty batch admits nothing
+        };
         self.streams.read().unwrap()[gid]
             .clock
             .advance_to(high_water);
@@ -2051,26 +2032,54 @@ impl Inner {
         self.fan_out(gid, tuples)
     }
 
-    /// Enqueue a batch on every EO input (blocking on full queues on
-    /// the threaded path; inline-draining them in step mode). With the
-    /// Flux exchange up, the batch is sharded instead of broadcast.
+    /// Enqueue one admitted batch on every EO input (blocking on full
+    /// queues on the threaded path; inline-draining them in step mode).
+    /// Every EO gets the message — the batch itself rides along as a
+    /// cheap `Arc` clone. With the Flux exchange up, each message also
+    /// carries its partition's share — possibly empty, so egress merges
+    /// see an offer for every batch from every partition — and every
+    /// `REBALANCE_EVERY` admits an observed-depth rebalance pass runs,
+    /// its decisions reported on `tcq$flux`.
     fn fan_out(&self, gid: usize, tuples: Vec<Tuple>) -> Result<()> {
-        if let Some(ex) = &self.exchange {
-            return self.fan_out_partitioned(ex, gid, tuples);
-        }
-        let bytes = approx_tuples_bytes(&tuples);
-        self.budget_headroom(gid, bytes * self.fan_copies());
-        for eo in 0..self.eo_inputs.len() {
+        self.budget_headroom(gid, approx_tuples_bytes(&tuples) * self.fan_copies());
+        let tuples = Arc::new(tuples);
+        let send = |eo: usize, share: Option<BatchShare>| {
+            let msg = ExecMsg::Data {
+                stream: gid,
+                tuples: tuples.clone(),
+                share,
+            };
             if let Some(budget) = &self.budget {
-                budget.charge(gid, bytes);
+                if let Some((_, _, bytes)) = msg.data_load() {
+                    budget.charge(gid, bytes);
+                }
             }
-            self.eo_send(
-                eo,
-                ExecMsg::Data {
-                    stream: gid,
-                    tuples: tuples.clone(),
-                },
-            )?;
+            self.eo_send(eo, msg)
+        };
+        let Some(ex) = &self.exchange else {
+            return (0..self.eo_inputs.len()).try_for_each(|eo| send(eo, None));
+        };
+        let decisions = {
+            let mut router = ex.router.lock().unwrap();
+            let parts = router.partition_batch(gid, &tuples);
+            let batch = ex.next_batch.fetch_add(1, Ordering::Relaxed) + 1;
+            for (eo, part) in parts.into_iter().enumerate() {
+                send(eo, Some(BatchShare { batch, part }))?;
+            }
+            let admits = ex.admits.fetch_add(1, Ordering::Relaxed) + 1;
+            if admits.is_multiple_of(REBALANCE_EVERY) {
+                let depths: Vec<usize> = self.eo_inputs.iter().map(|q| q.len()).collect();
+                router.rebalance(&depths)
+            } else {
+                Vec::new()
+            }
+        };
+        if !decisions.is_empty() {
+            // Outside the router lock: these rows re-enter ingest_batch
+            // → fan_out. The nested call cannot rebalance again into
+            // recursion — the pass above reset the traffic counters, so
+            // an immediate second pass moves nothing.
+            self.emit_rebalance_rows(&decisions);
         }
         Ok(())
     }
@@ -2098,63 +2107,6 @@ impl Inner {
                 std::thread::sleep(std::time::Duration::from_micros(50));
             }
         }
-    }
-
-    /// Shard one admitted batch across the EO partitions through the
-    /// Flux exchange. Every partition receives a `DataPart` — possibly
-    /// with an empty share — so egress merges see an offer for every
-    /// batch from every partition; the `full` batch rides along as a
-    /// cheap `Arc` clone for queries resident on one partition. Every
-    /// `REBALANCE_EVERY` admits, an observed-depth rebalance pass runs
-    /// and its decisions are reported on `tcq$flux`.
-    fn fan_out_partitioned(
-        &self,
-        ex: &ExchangeState,
-        gid: usize,
-        tuples: Vec<Tuple>,
-    ) -> Result<()> {
-        let hw = tuples
-            .iter()
-            .map(|t| t.ts().ticks())
-            .max()
-            .unwrap_or(i64::MIN);
-        self.budget_headroom(gid, approx_tuples_bytes(&tuples));
-        let decisions = {
-            let mut router = ex.router.lock().unwrap();
-            let parts = router.partition_batch(gid, &tuples);
-            let batch = ex.next_batch.fetch_add(1, Ordering::Relaxed) + 1;
-            let full = Arc::new(tuples);
-            for (eo, part) in parts.into_iter().enumerate() {
-                if let Some(budget) = &self.budget {
-                    budget.charge(gid, approx_keyed_tuples_bytes(&part));
-                }
-                self.eo_send(
-                    eo,
-                    ExecMsg::DataPart {
-                        stream: gid,
-                        batch,
-                        hw,
-                        part,
-                        full: full.clone(),
-                    },
-                )?;
-            }
-            let admits = ex.admits.fetch_add(1, Ordering::Relaxed) + 1;
-            if admits.is_multiple_of(REBALANCE_EVERY) {
-                let depths: Vec<usize> = self.eo_inputs.iter().map(|q| q.len()).collect();
-                router.rebalance(&depths)
-            } else {
-                Vec::new()
-            }
-        };
-        if !decisions.is_empty() {
-            // Outside the router lock: these rows re-enter ingest_batch
-            // → fan_out_partitioned. The nested call cannot rebalance
-            // again into recursion — the pass above reset the traffic
-            // counters, so an immediate second pass moves nothing.
-            self.emit_rebalance_rows(&decisions);
-        }
-        Ok(())
     }
 
     /// One `tcq$flux` row per (rebalance decision, metric): which
@@ -2236,26 +2188,7 @@ impl Inner {
                 // per-queue-copy; at one EO — and in partitioned mode,
                 // where shares are disjoint — they are exact tuple
                 // counts.
-                let mut evicted = 0u64;
-                let mut evicted_parts: Vec<(usize, u64)> = Vec::new();
-                for (eo_idx, input) in self.eo_inputs.iter().enumerate() {
-                    while input.len() > low {
-                        let victims = input.evict_oldest_where(1, |m| {
-                            matches!(m,
-                                ExecMsg::Data { stream, .. } if *stream == gid)
-                                || matches!(m,
-                                ExecMsg::DataPart { stream, .. } if *stream == gid)
-                        });
-                        if victims.is_empty() {
-                            break;
-                        }
-                        for v in victims {
-                            self.account_eviction(eo_idx, v, &mut evicted, &mut evicted_parts);
-                        }
-                    }
-                }
-                self.offer_evicted_parts(gid, evicted_parts);
-                st.shed += evicted;
+                self.evict_oldest(gid, st, |input| input.len() > low);
                 self.admit(gid, tuples)
             }
             ShedPolicy::Sample { rate } => {
@@ -2323,44 +2256,46 @@ impl Inner {
         }
     }
 
-    /// Account one evicted data message: release its budget charge,
-    /// maintain the exchange conservation counters, and record
-    /// partition shares that still owe their egress merges an empty
-    /// offer.
-    fn account_eviction(
+    /// Evict stream `gid`'s oldest queued batches, queue by queue, for
+    /// as long as `wanted` asks (freshest-data-wins): count them shed,
+    /// release their budget charges, maintain the exchange conservation
+    /// counters, and give every evicted partition share's egress merges
+    /// the empty offer they are still owed.
+    fn evict_oldest(
         &self,
-        eo_idx: usize,
-        victim: ExecMsg,
-        evicted: &mut u64,
-        evicted_parts: &mut Vec<(usize, u64)>,
+        gid: usize,
+        st: &mut ShedState,
+        wanted: impl Fn(&Fjord<ExecMsg>) -> bool,
     ) {
-        match victim {
-            ExecMsg::Data { stream, tuples } => {
-                *evicted += tuples.len() as u64;
+        let of_stream = |m: &ExecMsg| matches!(m, ExecMsg::Data { stream, .. } if *stream == gid);
+        let mut evicted_parts: Vec<(usize, u64)> = Vec::new();
+        for (eo_idx, input) in self.eo_inputs.iter().enumerate() {
+            while wanted(input) {
+                let Some(victim) = input.evict_oldest_where(1, of_stream).pop() else {
+                    break;
+                };
+                let Some((_, n, bytes)) = victim.data_load() else {
+                    continue;
+                };
+                st.shed += n;
                 if let Some(budget) = &self.budget {
-                    budget.release(stream, approx_tuples_bytes(&tuples));
+                    budget.release(gid, bytes);
+                }
+                if let ExecMsg::Data {
+                    share: Some(share), ..
+                } = victim
+                {
+                    if let Some(ex) = &self.exchange {
+                        ex.shared
+                            .part(eo_idx)
+                            .evicted
+                            .fetch_add(n, Ordering::SeqCst);
+                    }
+                    evicted_parts.push((eo_idx, share.batch));
                 }
             }
-            ExecMsg::DataPart {
-                stream,
-                batch,
-                part,
-                ..
-            } => {
-                *evicted += part.len() as u64;
-                if let Some(budget) = &self.budget {
-                    budget.release(stream, approx_keyed_tuples_bytes(&part));
-                }
-                if let Some(ex) = &self.exchange {
-                    ex.shared
-                        .part(eo_idx)
-                        .evicted
-                        .fetch_add(part.len() as u64, Ordering::SeqCst);
-                }
-                evicted_parts.push((eo_idx, batch));
-            }
-            _ => {}
         }
+        self.offer_evicted_parts(gid, evicted_parts);
     }
 
     /// An evicted share still owes its queries an (empty) offer, or

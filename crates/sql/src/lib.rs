@@ -34,7 +34,7 @@
 //! [`plan::Planner::plan`] (binds names against a
 //! [`tcq_common::Catalog`], decomposes the WHERE clause into boolean
 //! factors, extracts equi-join edges) → [`plan::QueryPlan`] →
-//! [`plan::QueryPlan::build_eddy`] (an adaptive [`tcq_eddy::Eddy`] plan
+//! [`plan::QueryPlan::build_eddy_vectorized`] (an adaptive [`tcq_eddy::Eddy`] plan
 //! with grouped filters and SteMs — "the server parses, analyzes, and
 //! optimizes it into an adaptive plan, that is, a plan that includes the
 //! adaptive operators described in Section 2").

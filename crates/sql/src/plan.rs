@@ -4,7 +4,7 @@
 //! produces a [`QueryPlan`]: streams with their full-layout offsets, the
 //! WHERE clause decomposed into boolean factors (single- and
 //! multi-variable filters plus equi-join edges), resolved projections
-//! and aggregates, and the window sequence. [`QueryPlan::build_eddy`]
+//! and aggregates, and the window sequence. [`QueryPlan::build_eddy_vectorized`]
 //! then emits the adaptive plan — an Eddy wired with filter modules and
 //! SteMs — that the executor folds into its running dataflow.
 
@@ -547,28 +547,16 @@ impl QueryPlan {
     /// gets a [`StemOp`] whose probe specs come from its incident join
     /// edges (a stream with no incident edge gets an empty-key SteM —
     /// a cartesian building block).
-    pub fn build_eddy(&self, policy: Box<dyn RoutingPolicy>) -> Result<Eddy> {
-        self.build_eddy_batched(policy, 1)
-    }
-
-    /// Like [`Plan::build_eddy`], with the §4.3 batching knob set so one
-    /// routing decision can cover up to `batch_size` same-lineage tuples
-    /// — the executor passes its pipeline batch size here so batches fed
-    /// via [`Eddy::push_batch`] share decisions end to end.
-    pub fn build_eddy_batched(
-        &self,
-        policy: Box<dyn RoutingPolicy>,
-        batch_size: usize,
-    ) -> Result<Eddy> {
-        self.build_eddy_vectorized(policy, batch_size, false)
-    }
-
-    /// Like [`QueryPlan::build_eddy_batched`], additionally opting the
-    /// eddy into columnar execution (`Config::columnar`): filter-only
-    /// single-stream plans route whole [`tcq_common::ColumnBatch`]es
-    /// through vectorized predicate kernels, and join plans build their
-    /// SteM hash keys from column slices. Results are byte-identical to
-    /// the row path either way.
+    ///
+    /// `batch_size` is the §4.3 batching knob: one routing decision can
+    /// cover up to that many same-lineage tuples — the executor passes
+    /// its pipeline batch size here so batches fed via
+    /// [`Eddy::push_batch`] share decisions end to end. `columnar` opts
+    /// the eddy into columnar execution (`Config::columnar`):
+    /// filter-only single-stream plans route whole
+    /// [`tcq_common::ColumnBatch`]es through vectorized predicate
+    /// kernels, and join plans build their SteM hash keys from column
+    /// slices. Results are byte-identical to the row path either way.
     pub fn build_eddy_vectorized(
         &self,
         policy: Box<dyn RoutingPolicy>,
@@ -793,7 +781,9 @@ mod tests {
                  WHERE stockSymbol = 'MSFT' AND closingPrice > 50.0",
             )
             .unwrap();
-        let mut eddy = p.build_eddy(Box::new(NaivePolicy::new(1))).unwrap();
+        let mut eddy = p
+            .build_eddy_vectorized(Box::new(NaivePolicy::new(1)), 1, false)
+            .unwrap();
         let mut results = Vec::new();
         for (i, (sym, price)) in [
             ("MSFT", 60.0),
@@ -829,7 +819,9 @@ mod tests {
                    AND c2.timestamp = c1.timestamp",
             )
             .unwrap();
-        let mut eddy = p.build_eddy(Box::new(NaivePolicy::new(7))).unwrap();
+        let mut eddy = p
+            .build_eddy_vectorized(Box::new(NaivePolicy::new(7)), 1, false)
+            .unwrap();
         let day = |d: i64, sym: &str, price: f64| {
             Tuple::at_seq(vec![Value::Int(d), Value::str(sym), Value::Float(price)], d)
         };
@@ -884,7 +876,9 @@ mod tests {
             .plan_sql("SELECT * FROM ClosingStockPrices c1, Companies c2")
             .unwrap();
         assert!(p.joins.is_empty());
-        let mut eddy = p.build_eddy(Box::new(NaivePolicy::new(3))).unwrap();
+        let mut eddy = p
+            .build_eddy_vectorized(Box::new(NaivePolicy::new(3)), 1, false)
+            .unwrap();
         let quote = Tuple::at_seq(
             vec![Value::Int(1), Value::str("MSFT"), Value::Float(50.0)],
             1,

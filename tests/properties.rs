@@ -496,7 +496,9 @@ proptest! {
             lo + width
         );
         let plan = Planner::new(catalog).plan_sql(&sql).unwrap();
-        let mut eddy = plan.build_eddy(Box::new(NaivePolicy::new(3))).unwrap();
+        let mut eddy = plan
+            .build_eddy_vectorized(Box::new(NaivePolicy::new(3)), 1, false)
+            .unwrap();
         let mut got = Vec::new();
         for (i, (price, s)) in prices.iter().enumerate() {
             let t = Tuple::at_seq(
@@ -699,19 +701,26 @@ proptest! {
     }
 }
 
-/// Run a mixed workload — a continuous selection and a windowed count
-/// over stream `s`, plus a pinned two-stream equi-join against `r` — in
-/// deterministic step mode at one partition count, and return every
-/// query's full drained output in delivery order (no sorting: the
-/// egress merge must restore byte-identical order, not just the same
-/// multiset).
+/// Run a mixed workload — a continuous selection, a `SELECT DISTINCT`
+/// (resident whole on one EO when partitioned) and a windowed count
+/// over stream `s`, a pinned two-stream equi-join against `r`, and a
+/// selection over `r` with a column-to-column factor (shared engine
+/// plus a per-query residual) — in deterministic step mode at one
+/// partition count, and return every query's full drained output in
+/// delivery order (no sorting: the egress merge must restore
+/// byte-identical order, not just the same multiset) with its degraded
+/// flag. Half-way through, an operator fault is injected into the plain
+/// selection, right before a tuple it matches: a partitioned query
+/// consumes an armed fault on the next batch of its stream, an
+/// unpartitioned one on the next batch it matches, and only on such a
+/// tuple are those the same batch.
 fn partitioned_answers(
     partitions: usize,
     batch_size: usize,
     columnar: bool,
     prices: &[i64],
     keys: &[i64],
-) -> Vec<Vec<tcq::ResultSet>> {
+) -> Vec<(Vec<tcq::ResultSet>, bool)> {
     use tcq_common::{DataType, Field, Schema};
 
     let server = tcq::Server::start(tcq::Config {
@@ -753,8 +762,18 @@ fn partitioned_answers(
     let join = server
         .submit("SELECT r.w FROM s, r WHERE s.price = r.k")
         .expect("join submits");
+    let distinct = server
+        .submit("SELECT DISTINCT price FROM s WHERE price < 80")
+        .expect("distinct submits");
+    let residual = server
+        .submit("SELECT w FROM r WHERE k >= 20 AND w > k + 300")
+        .expect("residual selection submits");
+    let fault_at = (prices.len() / 2..prices.len()).find(|&i| prices[i] >= 50);
     for (i, &p) in prices.iter().enumerate() {
         let ts = i as i64 + 1;
+        if fault_at == Some(i) {
+            server.inject_panic(select.id).expect("fault arms");
+        }
         server
             .push_at("s", vec![Value::Int(p)], ts)
             .expect("s push");
@@ -767,7 +786,10 @@ fn partitioned_answers(
     server.punctuate("s", horizon).expect("punctuate");
     server.sync();
     server.assert_quiescent();
-    let out = vec![select.drain(), windowed.drain(), join.drain()];
+    let out = [select, windowed, join, distinct, residual]
+        .iter()
+        .map(|h| (h.drain(), h.is_degraded()))
+        .collect();
     server.shutdown();
     out
 }
