@@ -53,3 +53,31 @@ pub mod grouped_filter;
 pub use bitset::QuerySet;
 pub use engine::{CacqEngine, CacqStats, JoinSpec, QueryId, QuerySpec, Selection};
 pub use grouped_filter::GroupedFilter;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcq_common::{CmpOp, Tuple, Value};
+
+    /// E4 (§3.1, \[MSHR02\]): grouped filters serve 128 standing range
+    /// queries with ≥ 50× fewer predicate evaluations than evaluating
+    /// each query per tuple, delivering exactly the same matches.
+    #[test]
+    fn e4_sharing_cuts_eval_ops() {
+        let thresholds: Vec<f64> = (0..128).map(|i| 90.0 + (i % 100) as f64 / 10.0).collect();
+        let mut engine = CacqEngine::new();
+        for &th in &thresholds {
+            let spec = QuerySpec::select(0, vec![(1, CmpOp::Gt, Value::Float(th))]);
+            engine.add_query(spec).unwrap();
+        }
+        let (mut shared, mut per_query) = (0, 0);
+        for i in 0..2_000i64 {
+            let price = (i * 37 % 100) as f64 + 0.5;
+            let t = Tuple::at_seq(vec![Value::str("SYM"), Value::Float(price)], i);
+            shared += engine.push(0, t).len();
+            per_query += thresholds.iter().filter(|&&th| price > th).count();
+        }
+        assert_eq!(shared, per_query, "same deliveries");
+        assert!(engine.stats().filter_lookups * 50 < 128 * 2_000);
+    }
+}

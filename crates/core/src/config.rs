@@ -48,7 +48,8 @@ pub struct Config {
     /// Engine-wide metrics registry. When on, queues, eddies, grouped
     /// filters, and SteMs publish counters/gauges/histograms readable via
     /// `Server::metrics()` and the `tcq$*` introspection streams. Off
-    /// removes every instrument binding (the E11 baseline).
+    /// removes every instrument binding; answers are identical either
+    /// way (E11), and `metrics.trace_overhead_pct` in `benchmark/` prices it.
     pub metrics: bool,
     /// Emission period for the introspection streams (`tcq$queues`,
     /// `tcq$operators`, `tcq$flux`). `None` (the default) registers the
@@ -72,7 +73,7 @@ pub struct Config {
     /// on a source (detaching and punctuating it like an exhausted one).
     pub source_retry_max: u32,
     /// Artificial per-batch delay inside each Execution Object; a
-    /// load-simulation knob for overload experiments (E12) and tests.
+    /// load-simulation knob for overload tests and the benchmark.
     /// `None` (the default) adds nothing to the hot path.
     pub eo_batch_delay: Option<std::time::Duration>,
     /// Partitioned parallel execution degree (the Flux exchange; §6 of

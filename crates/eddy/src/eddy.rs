@@ -152,13 +152,13 @@ impl EddyBuilder {
     /// Enable the columnar fast path (off by default).
     ///
     /// When on, a batch submitted to a *filter-only, single-stream* eddy
-    /// with no artificial costs is converted to a [`ColumnBatch`] once and
-    /// every predicate is folded into a selection bitmap by the vectorized
-    /// evaluator ([`Expr::eval_pred_batch`]); survivors are emitted as the
+    /// is converted to a [`ColumnBatch`] once and every predicate is
+    /// folded into a selection bitmap by the vectorized evaluator
+    /// ([`Expr::eval_pred_batch`]); survivors are emitted as the
     /// original tuples, so results are byte-identical to row routing (an
     /// AND of filters is order-insensitive and the selected subset
-    /// preserves arrival order). Eddies with SteMs, multiple streams, or
-    /// cost-burning filters route row-at-a-time as before. Left off by
+    /// preserves arrival order). Eddies with SteMs or multiple streams
+    /// route row-at-a-time as before. Left off by
     /// direct constructions so decision-count assertions keep their exact
     /// row-path semantics; the executor turns it on from
     /// `Config::columnar`.
@@ -178,10 +178,7 @@ impl EddyBuilder {
         let columnar = self.columnar
             && self.layout.stream_count() == 1
             && !self.ops.is_empty()
-            && self
-                .ops
-                .iter()
-                .all(|op| matches!(op, EddyOp::Filter(f) if f.artificial_cost == 0));
+            && self.ops.iter().all(|op| matches!(op, EddyOp::Filter(_)));
         let columnar_builds =
             self.columnar && self.ops.iter().any(|op| matches!(op, EddyOp::Stem(_)));
         Eddy {
@@ -688,7 +685,7 @@ impl Eddy {
         match &mut self.ops[op] {
             EddyOp::Filter(f) => {
                 for mut rt in batch.drain(..) {
-                    cost += 1 + f.artificial_cost as u64;
+                    cost += 1;
                     let remapped = match self.remap_cache.entry((op, rt.coverage)) {
                         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                         std::collections::hash_map::Entry::Vacant(e) => {
@@ -1186,8 +1183,8 @@ mod tests {
         assert_eq!(e.stats().columnar_fallback_rows, 14);
     }
 
-    /// Build-time eligibility: SteMs, extra streams, or artificial cost
-    /// disable the fast path even when the builder asked for it.
+    /// Build-time eligibility: SteMs or extra streams disable the fast
+    /// path even when the builder asked for it.
     #[test]
     fn columnar_requires_filter_only_single_stream() {
         let with_stem = EddyBuilder::new(vec![2, 2], Box::new(NaivePolicy::new(1)))
@@ -1196,11 +1193,6 @@ mod tests {
             .columnar(true)
             .build();
         assert!(!with_stem.columnar);
-        let with_cost = EddyBuilder::new(vec![1], Box::new(NaivePolicy::new(1)))
-            .filter(FilterOp::new("f", Expr::lit(true)).with_cost(10))
-            .columnar(true)
-            .build();
-        assert!(!with_cost.columnar);
         let plain = EddyBuilder::new(vec![1], Box::new(NaivePolicy::new(1)))
             .filter(FilterOp::new("f", Expr::lit(true)))
             .columnar(true)

@@ -21,9 +21,6 @@ pub struct FilterOp {
     pub predicate: Expr,
     /// Streams referenced (computed by the builder from the layout).
     pub streams: Mask,
-    /// Artificial per-evaluation work units, for experiments that need
-    /// operators with controllable cost (E1/E2/E7). Zero in real use.
-    pub artificial_cost: u32,
 }
 
 impl FilterOp {
@@ -33,33 +30,12 @@ impl FilterOp {
             name: name.into(),
             predicate,
             streams: Mask::EMPTY, // filled by the builder
-            artificial_cost: 0,
         }
     }
 
-    /// Add simulated evaluation cost (busy-work units).
-    pub fn with_cost(mut self, units: u32) -> FilterOp {
-        self.artificial_cost = units;
-        self
-    }
-
-    /// Evaluate the (pre-remapped) predicate against a partial tuple,
-    /// burning the artificial cost.
+    /// Evaluate the (pre-remapped) predicate against a partial tuple.
     pub fn eval(&self, remapped: &Expr, tuple: &Tuple) -> bool {
-        if self.artificial_cost > 0 {
-            burn(self.artificial_cost);
-        }
         remapped.eval_pred(tuple).unwrap_or(false)
-    }
-}
-
-/// Spin for `units` iterations of trivially unoptimizable work.
-#[inline(never)]
-fn burn(units: u32) {
-    let mut acc = 0u64;
-    for i in 0..units {
-        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-        std::hint::black_box(acc);
     }
 }
 
@@ -386,15 +362,6 @@ mod tests {
         assert!(!op.eligible(Mask::bit(2)), "own stream covered");
         assert!(!op.eligible(Mask::from_iter([0, 2])), "own stream covered");
         assert!(op.eligible(Mask::from_iter([0, 1])));
-    }
-
-    #[test]
-    fn filter_eval_burns_cost_but_answers() {
-        use tcq_common::CmpOp;
-        let f = FilterOp::new("f", Expr::col(0).cmp(CmpOp::Gt, Expr::lit(5i64))).with_cost(100);
-        let remapped = f.predicate.clone();
-        assert!(f.eval(&remapped, &Tuple::at_seq(vec![Value::Int(9)], 1)));
-        assert!(!f.eval(&remapped, &Tuple::at_seq(vec![Value::Int(1)], 1)));
     }
 
     #[test]

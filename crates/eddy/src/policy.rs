@@ -153,7 +153,7 @@ impl LotteryPolicy {
         self
     }
 
-    /// Current banked tickets (diagnostics / the E2 convergence report).
+    /// Current banked tickets (diagnostics).
     pub fn tickets(&self) -> &[f64] {
         &self.tickets
     }

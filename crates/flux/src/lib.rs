@@ -69,3 +69,46 @@ pub use chaos::{FaultAction, FaultSchedule};
 pub use cluster::{ClusterStats, FluxCluster};
 pub use exchange::{Exchange, ExchangeShared, OrderedMerge, RebalanceDecision, Release};
 pub use op::{GroupCount, PartitionedOp, WindowJoinOp};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcq_common::rng::SplitMix64;
+    use tcq_common::{Tuple, Value};
+
+    /// E6 (§2.4, \[SHCF03\]): online repartitioning lowers the load
+    /// imbalance skewed keys cause; a machine failure loses no state with
+    /// replicas and loses some without.
+    #[test]
+    fn e6_rebalance_reduces_imbalance_and_replication_prevents_loss() {
+        let mut rng = SplitMix64::new(9);
+        // Log-uniform keys over 0..256: key k carries load ∝ 1/(k+1).
+        let mut route = |c: &mut FluxCluster, n: i64| {
+            for i in 0..n {
+                let key = Value::Int(256f64.powf(rng.next_f64()) as i64 - 1);
+                c.route(0, &Tuple::at_seq(vec![key], i)).unwrap();
+            }
+        };
+        let cluster =
+            |replicate| FluxCluster::new(4, 64, &GroupCount::new(vec![0]), vec![0], replicate);
+        let mut c = cluster(false);
+        route(&mut c, 20_000);
+        let before = c.imbalance();
+        c.rebalance();
+        c.reset_loads();
+        route(&mut c, 20_000);
+        assert!(c.imbalance() < before, "{} vs {before}", c.imbalance());
+        for replicate in [true, false] {
+            let mut c = cluster(replicate);
+            route(&mut c, 10_000);
+            c.kill_machine(1).unwrap();
+            let total: i64 = c
+                .snapshot()
+                .iter()
+                .map(|t| t.field(1).as_int().unwrap())
+                .sum();
+            assert_eq!(total == 10_000, replicate);
+            assert_eq!(c.stats().state_lost == 0, replicate);
+        }
+    }
+}

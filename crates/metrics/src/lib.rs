@@ -12,7 +12,7 @@
 //! on the hot path.
 //!
 //! `snapshot()` is the single export surface. It backs both the Rust
-//! API used by bench/tests and the `tcq$queues` / `tcq$operators` /
+//! API used by tests and the benchmark, and the `tcq$queues` / `tcq$operators` /
 //! `tcq$flux` introspection streams the server's Wrapper emits, so a
 //! running engine can be queried about itself in CQ-SQL.
 

@@ -438,6 +438,34 @@ mod tests {
         assert!(p.stats().recompute_evals > 0);
     }
 
+    /// E5 (§3.2, \[CF02\]): returning clients read materialized answers
+    /// without evaluating a predicate; recompute re-evaluates the window.
+    /// Same answers.
+    #[test]
+    fn e5_modes_agree() {
+        let mut p = PSoup::new();
+        let ids: Vec<QueryId> = (0..16)
+            .map(|i| {
+                p.register_query(msft_over(500, 95.0 + i as f64 / 10.0))
+                    .unwrap()
+            })
+            .collect();
+        for i in 1..=5_000 {
+            p.push(0, stock("MSFT", (i % 1000) as f64 / 10.0, i));
+            if i % 4096 == 0 {
+                p.evict(Timestamp::logical(i));
+            }
+        }
+        let now = Timestamp::logical(5_000);
+        let mat: Vec<_> = ids.iter().map(|&q| p.retrieve(q, now).unwrap()).collect();
+        assert_eq!(p.stats().recompute_evals, 0);
+        for (&q, rows) in ids.iter().zip(&mat) {
+            assert_eq!(rows, &p.retrieve_recompute(q, now).unwrap());
+        }
+        assert!(p.stats().recompute_evals >= 16 * 500);
+        assert!(mat.iter().all(|rows| !rows.is_empty()));
+    }
+
     #[test]
     fn remove_query_cleans_up() {
         let mut p = PSoup::new();

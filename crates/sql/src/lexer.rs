@@ -133,26 +133,25 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>> {
                 i = j;
             }
             '\'' => {
+                // Quotes are ASCII, so every cut below lands on a char
+                // boundary and the literal keeps its UTF-8 text intact.
                 let mut j = i + 1;
                 let mut s = String::new();
                 loop {
-                    if j >= bytes.len() {
+                    let Some(k) = src[j..].find('\'') else {
                         return Err(TcqError::ParseError {
                             offset: start,
                             message: "unterminated string literal".into(),
                         });
-                    }
-                    if bytes[j] == b'\'' {
-                        // '' escapes a quote.
-                        if j + 1 < bytes.len() && bytes[j + 1] == b'\'' {
-                            s.push('\'');
-                            j += 2;
-                            continue;
-                        }
+                    };
+                    s.push_str(&src[j..j + k]);
+                    j += k;
+                    // '' escapes a quote.
+                    if bytes.get(j + 1) != Some(&b'\'') {
                         break;
                     }
-                    s.push(bytes[j] as char);
-                    j += 1;
+                    s.push('\'');
+                    j += 2;
                 }
                 out.push(Spanned {
                     tok: Tok::Str(s),
@@ -161,21 +160,16 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>> {
                 i = j + 1;
             }
             _ => {
-                let two = if i + 1 < bytes.len() {
-                    &src[i..i + 2]
-                } else {
-                    ""
-                };
-                let (tok, len) = match two {
-                    "<=" => (Tok::Le, 2),
-                    ">=" => (Tok::Ge, 2),
-                    "<>" => (Tok::Ne, 2),
-                    "!=" => (Tok::Ne, 2),
-                    "==" => (Tok::Eq, 2),
-                    "++" => (Tok::PlusPlus, 2),
-                    "--" => (Tok::MinusMinus, 2),
-                    "+=" => (Tok::PlusEq, 2),
-                    "-=" => (Tok::MinusEq, 2),
+                let (tok, len) = match bytes.get(i..i + 2) {
+                    Some(b"<=") => (Tok::Le, 2),
+                    Some(b">=") => (Tok::Ge, 2),
+                    Some(b"<>") => (Tok::Ne, 2),
+                    Some(b"!=") => (Tok::Ne, 2),
+                    Some(b"==") => (Tok::Eq, 2),
+                    Some(b"++") => (Tok::PlusPlus, 2),
+                    Some(b"--") => (Tok::MinusMinus, 2),
+                    Some(b"+=") => (Tok::PlusEq, 2),
+                    Some(b"-=") => (Tok::MinusEq, 2),
                     _ => match c {
                         ',' => (Tok::Comma, 1),
                         '(' => (Tok::LParen, 1),
@@ -192,11 +186,14 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>> {
                         '=' => (Tok::Eq, 1),
                         '<' => (Tok::Lt, 1),
                         '>' => (Tok::Gt, 1),
-                        other => {
+                        _ => {
+                            // `c` is only the first byte; name the whole
+                            // (possibly multi-byte) character.
+                            let other = src[i..].chars().next().unwrap_or(c);
                             return Err(TcqError::ParseError {
                                 offset: start,
                                 message: format!("unexpected character {other:?}"),
-                            })
+                            });
                         }
                     },
                 };
@@ -313,5 +310,28 @@ mod tests {
             Err(TcqError::ParseError { offset, .. }) => assert_eq!(offset, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_ascii_outside_strings_is_an_error_naming_the_character() {
+        for (src, at, ch) in [("SELECT €", 7, '€'), ("a <é", 3, 'é'), ("a > 1 ✓", 6, '✓')]
+        {
+            match tokenize(src) {
+                Err(TcqError::ParseError { offset, message }) => {
+                    assert_eq!(offset, at, "{src}");
+                    assert!(message.contains(ch), "{src}: {message}");
+                }
+                other => panic!("{src}: expected parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn strings_keep_non_ascii_text() {
+        assert_eq!(toks("'café'"), vec![Tok::Str("café".into())]);
+        assert_eq!(
+            toks("'中''🦀' ,"),
+            vec![Tok::Str("中'🦀".into()), Tok::Comma]
+        );
     }
 }

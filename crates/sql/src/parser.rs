@@ -536,7 +536,11 @@ impl Parser {
             };
             self.pos += 1;
             match self.bump() {
-                Some(Tok::Int(v)) => offset += sign * v,
+                Some(Tok::Int(v)) => {
+                    offset = offset
+                        .checked_add(sign * v)
+                        .ok_or_else(|| self.err("window bound overflows"))?;
+                }
                 Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("t") => coeff += sign,
                 _ => {
                     self.pos = self.pos.saturating_sub(1);
@@ -745,6 +749,7 @@ mod tests {
             "SELECT * FROM s for (;;) { }",
             "SELECT * FROM s for (;;) { WindowIs(s, 1); }",
             "SELECT * FROM s WHERE a = 1 2",
+            "SELECT * FROM s for (;;) { WindowIs(s, t + 9223372036854775807 + 1, t); }",
         ] {
             assert!(
                 matches!(parse(bad), Err(TcqError::ParseError { .. })),
@@ -809,6 +814,30 @@ mod tests {
                 other => panic!("{other:?}"),
             },
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Fuzz pool, `|`-separated: grammar fragments, operator characters
+    /// and multi-byte code points, so random strings reach deep into the
+    /// grammar.
+    const FRAGMENTS: &str = "SELECT |FROM |WHERE |GROUP BY |ORDER BY |WITH |for|WindowIs|t|s|\
+        COUNT|AND |*|(|)|{|}|;|,|.|<|=|!|+|-|'|9223372036854775807|2.5| |é|€|🦀";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Any text parses or errors; none panics the caller.
+        #[test]
+        fn parse_never_panics(
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..40),
+            noise in "\\PC{0,12}",
+        ) {
+            let pool: Vec<&str> = FRAGMENTS.split('|').collect();
+            let src = picks.iter().map(|&i| pool[i % pool.len()]).collect::<String>() + &noise;
+            proptest::prop_assert!(
+                std::panic::catch_unwind(|| parse(&src)).is_ok(),
+                "parse panicked on {src:?}"
+            );
         }
     }
 }

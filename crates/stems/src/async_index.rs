@@ -10,8 +10,8 @@
 //!
 //! [`AsyncIndexJoin`] drives that dataflow against any [`IndexSource`] —
 //! the trait a remote index implements. `tcq-wrappers` provides a
-//! latency-simulating implementation for experiments; tests here use an
-//! instant one.
+//! latency-simulating implementation (E3's paper-claim test uses it);
+//! tests here use an instant one.
 
 use std::collections::HashMap;
 
@@ -239,7 +239,7 @@ impl AsyncIndexJoin {
 
 /// An [`IndexSource`] answering from an in-memory table after a fixed
 /// number of `poll` calls (simulated latency measured in polls).
-/// Deterministic; used by tests and by E3's bench via `tcq-wrappers`.
+/// Deterministic; used by this module's tests.
 pub struct TableIndex {
     rows: Vec<Tuple>,
     key_cols: Vec<usize>,

@@ -43,3 +43,36 @@ pub use archive::{ArchiveStats, Spooler, StreamArchive};
 pub use bufferpool::{BufferPool, PoolStats, Replacement};
 pub use faultio::{FaultIo, FaultKind, FaultPlan};
 pub use wal::{read_log, WalRecord, WalScan, WalWriter, WalWriterStats};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcq_common::rng::SplitMix64;
+
+    /// E9 (§4.3, disk-based issues): with 30 frames over 100 segments, a
+    /// looping scan defeats LRU outright, while skewed access (80% of
+    /// reads on 20% of segments) mostly hits under LRU and Clock alike.
+    #[test]
+    fn e9_clock_and_lru_hit_rates_are_sane() {
+        let hits = |policy, skewed: bool| {
+            let mut pool = BufferPool::new(30, policy);
+            let mut rng = SplitMix64::new(42);
+            for i in 0..20_000 {
+                let seg = if !skewed {
+                    i % 100
+                } else if rng.next_below(10) < 8 {
+                    rng.next_below(20)
+                } else {
+                    rng.next_below(100)
+                };
+                let _ = pool.get_or_load::<()>((0, seg), || Ok(Vec::new()));
+            }
+            let s = pool.stats();
+            s.hits as f64 / (s.hits + s.misses) as f64
+        };
+        assert_eq!(hits(Replacement::Lru, false), 0.0);
+        for policy in [Replacement::Lru, Replacement::Clock] {
+            assert!(hits(policy, true) > 0.4, "{policy:?}");
+        }
+    }
+}

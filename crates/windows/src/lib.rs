@@ -46,3 +46,25 @@ pub use buffer::{VecWindowBuffer, WindowSource};
 pub use spec::{
     right_released, right_released_at, Bound, ForLoop, LoopCond, WindowIs, WindowKind, WindowSeq,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcq_common::{Timestamp, Value};
+
+    /// E8 (§4.1.2): over the same stream a landmark MAX keeps O(1)
+    /// state while a 10k-tick sliding MAX retains its window.
+    #[test]
+    fn e8_state_shapes() {
+        let mut landmark = LandmarkAgg::new(AggKind::Max);
+        let mut sliding = SlidingAgg::new(AggKind::Max);
+        for i in 1..=50_000 {
+            let v = Value::Float((i % 997) as f64);
+            landmark.push(Timestamp::logical(i), &v);
+            sliding.push(Timestamp::logical(i), &v);
+            sliding.evict_before(Timestamp::logical(i - 10_000 + 1));
+        }
+        assert_eq!(landmark.value(), sliding.value());
+        assert!(sliding.state_bytes() > landmark.state_bytes() * 100);
+    }
+}

@@ -1,8 +1,8 @@
 //! Deterministic synthetic stream generators.
 //!
 //! These play the role of the paper's live sources, with the knobs the
-//! experiments need: rate (tuples per poll), key skew (Zipf), and
-//! mid-stream distribution drift.
+//! examples and paper-claim tests need: rate (tuples per poll), key skew
+//! (Zipf), and mid-stream distribution drift.
 
 use tcq_common::rng::SplitMix64;
 use tcq_common::{Clock, Timestamp, Tuple, Value};
@@ -25,7 +25,7 @@ pub struct StockTicker {
     max_days: Option<i64>,
 }
 
-/// Symbols used by examples and benches.
+/// Symbols used by examples and tests.
 pub const DEFAULT_SYMBOLS: [&str; 8] =
     ["MSFT", "IBM", "ORCL", "SUNW", "INTC", "AAPL", "DELL", "HPQ"];
 
@@ -90,7 +90,7 @@ impl Source for StockTicker {
 
 /// Network packet headers `(src: INT, dst: INT, port: INT, bytes: INT)`
 /// with Zipf-skewed destination addresses — the skewed-key workload for
-/// the Flux load-balancing experiment (E6).
+/// the Flux examples.
 pub struct PacketGen {
     rng: SplitMix64,
     clock: Clock,
@@ -206,7 +206,7 @@ impl Source for SensorGen {
     }
 }
 
-/// The drifting-selectivity workload of the eddy experiments (E1/E7):
+/// The drifting-selectivity workload of the eddy adaptivity test (E1):
 /// tuples `(a: INT, b: INT)` where `a` and `b` are uniform in
 /// `[0, 100)`, except that at `switch_at` tuples the distributions swap
 /// ranges, flipping which of two threshold filters is selective.
