@@ -80,13 +80,6 @@ impl QuerySet {
         out
     }
 
-    /// In-place difference: remove every slot present in `other`.
-    pub fn difference_with(&mut self, other: &QuerySet) {
-        for (i, a) in self.words.iter_mut().enumerate() {
-            *a &= !other.words.get(i).copied().unwrap_or(0);
-        }
-    }
-
     /// Overwrite `self` with `other`'s contents, reusing the allocation.
     ///
     /// (The derived `Clone::clone_from` reallocates; scratch sets on the

@@ -259,7 +259,7 @@ impl GroupedFilter {
 
     /// [`GroupedFilter::for_each_match`] for a non-NULL numeric-ish value
     /// from a typed column (Int/Float/Bool): `x` is the caller's
-    /// precomputed [`as_num`] view of `v`, so the four range lists run
+    /// precomputed `as_num` view of `v`, so the four range lists run
     /// their binary searches on a raw f64 with no per-list re-coercion,
     /// and `v` is consulted only for the (exact-typed) equality and
     /// inequality predicates. Matches `for_each_match(v, f)` exactly.

@@ -131,14 +131,6 @@ impl Value {
         }
     }
 
-    /// Timestamp view; `None` for non-timestamps.
-    pub fn as_ts(&self) -> Option<Timestamp> {
-        match self {
-            Value::Ts(t) => Some(*t),
-            _ => None,
-        }
-    }
-
     /// SQL three-valued comparison. Returns `None` when either side is
     /// NULL or the types are incomparable (e.g. string vs int), mirroring
     /// SQL's `UNKNOWN`.

@@ -4,15 +4,14 @@ use std::path::PathBuf;
 
 use tcq_common::{Consistency, Durability, OnStorageError, ShedPolicy};
 
-/// Which routing policy the FrontEnd compiles into adaptive plans.
+/// Which routing policy the FrontEnd compiles into adaptive plans. The
+/// server runs lottery scheduling only; the static and uniform-random
+/// baselines the adaptivity claims compare against live in `tcq_eddy`
+/// (`FixedPolicy`, `NaivePolicy`) and are built directly by those tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// Lottery scheduling (the default; \[AH00\]).
+    /// Lottery scheduling \[AH00\].
     Lottery,
-    /// Uniform random.
-    Naive,
-    /// Static order (the non-adaptive baseline).
-    Fixed,
 }
 
 /// TelegraphCQ server configuration.
@@ -68,6 +67,8 @@ pub struct Config {
     /// Fraction of `input_queue` at which shedding deactivates and any
     /// pending spill is re-ingested (depth ≤ low watermark). Must be
     /// below `shed_high_frac`; the gap is the hysteresis band.
+    /// `Server::start` rejects any setting outside
+    /// `0 <= shed_low_frac < shed_high_frac <= 1` (NaN included).
     pub shed_low_frac: f64,
     /// Consecutive transient failures after which the Wrapper gives up
     /// on a source (detaching and punctuating it like an exhausted one).
@@ -106,12 +107,12 @@ pub struct Config {
     /// (`tcq_common::ColumnBatch`) instead of interpreting one boxed
     /// `Value` at a time: filter-only eddies fold their predicates into
     /// selection bitmaps via the vectorized evaluator, CACQ grouped
-    /// filters probe typed column slices, windowed aggregates run
-    /// columnar sum/count/min/max kernels, and SteMs hash key columns a
-    /// batch at a time. Row⇄column conversion is confined to the batch
-    /// boundary; expressions the vectorized evaluator cannot handle
-    /// (mixed-type columns, timestamps) fall back to the row evaluator
-    /// per batch, counted on `tcq$operators` as `columnar.fallback_rows`.
+    /// filters probe typed column slices, and SteMs hash key columns a
+    /// batch at a time (window aggregates always fold rows). Row⇄column
+    /// conversion is confined to the batch boundary; expressions the
+    /// vectorized evaluator cannot handle (mixed-type columns,
+    /// timestamps) fall back to the row evaluator per batch, counted on
+    /// `tcq$operators` as `columnar.fallback_rows`.
     /// Results are byte-identical to the row path either way.
     ///
     /// `Config::default()` honors a `TCQ_COLUMNAR` environment variable

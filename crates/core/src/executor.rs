@@ -23,7 +23,7 @@
 //! per-query residuals applied at delivery), and windowed single-stream
 //! queries with the same (source, window sequence, consistency) core —
 //! detected via `tcq_planner::core_signature` — form a
-//! [`WindowFamily`] that runs one archive scan plus one grouped-filter
+//! `WindowFamily` that runs one archive scan plus one grouped-filter
 //! pass per loop instant instead of K fresh eddies. Either way the
 //! answers are byte-identical to the unshared paths.
 
@@ -36,14 +36,15 @@ use std::sync::{Arc, Mutex, RwLock};
 use tcq_cacq::{CacqEngine, QuerySpec, Selection};
 use tcq_common::membudget::{approx_keyed_tuples_bytes, approx_tuples_bytes, BudgetSet};
 use tcq_common::{ColumnBatch, Consistency, Expr, Timestamp, Tuple, Value};
-use tcq_eddy::{Eddy, FixedPolicy, LotteryPolicy, NaivePolicy, RoutingPolicy};
+use tcq_eddy::{Eddy, LotteryPolicy, RoutingPolicy};
 use tcq_planner::{core_signature, CoreKind};
 use tcq_sql::QueryPlan;
 use tcq_storage::StreamArchive;
-use tcq_windows::{AggKind, LoopCond, RetractableAgg, WindowAgg};
+use tcq_windows::{LoopCond, RetractableAgg, WindowAgg};
+use tcq_wrappers::egress::deliver;
 
 use crate::config::{Config, PolicyKind};
-use crate::query::{deliver, MergeRef, ResultSet, RunningQuery};
+use crate::query::{MergeRef, ResultSet, RunningQuery};
 
 /// Messages an Execution Object processes.
 pub enum ExecMsg {
@@ -209,8 +210,6 @@ impl ArchiveSet {
 pub fn make_policy(config: &Config, salt: u64) -> Box<dyn RoutingPolicy> {
     match config.policy {
         PolicyKind::Lottery => Box::new(LotteryPolicy::new(config.seed ^ salt)),
-        PolicyKind::Naive => Box::new(NaivePolicy::new(config.seed ^ salt)),
-        PolicyKind::Fixed => Box::new(FixedPolicy::new((0..64).collect())),
     }
 }
 
@@ -1206,12 +1205,7 @@ impl ExecutionObject {
             self.unshared_window_rows(id, t)
         };
         let mut rows = if plan.is_aggregating() {
-            if self.config.columnar {
-                aggregate_rows_columnar(&plan, &full_rows)
-                    .unwrap_or_else(|| aggregate_rows(&plan, &full_rows))
-            } else {
-                aggregate_rows(&plan, &full_rows)
-            }
+            aggregate_rows(&plan, &full_rows)
         } else {
             let mut rows: Vec<Tuple> = full_rows
                 .iter()
@@ -1506,152 +1500,6 @@ pub fn aggregate_rows(plan: &QueryPlan, rows: &[Tuple]) -> Vec<Tuple> {
     out
 }
 
-/// The row path's accumulation state, folded over a typed column
-/// slice. The member functions mirror the all-positive
-/// [`RetractableAgg`] fold operation for operation so the columnar
-/// result — including float rounding, which depends on addition order —
-/// is byte-identical to the row path's.
-#[derive(Default)]
-struct ColumnAcc {
-    count: u64,
-    sum: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl ColumnAcc {
-    fn add(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-
-    fn value(&self, kind: AggKind) -> Value {
-        match kind {
-            AggKind::Count => Value::Int(self.count as i64),
-            AggKind::Sum if self.count > 0 => Value::Float(self.sum),
-            AggKind::Avg if self.count > 0 => Value::Float(self.sum / self.count as f64),
-            AggKind::Min => self.min.map(Value::Float).unwrap_or(Value::Null),
-            AggKind::Max => self.max.map(Value::Float).unwrap_or(Value::Null),
-            _ => Value::Null,
-        }
-    }
-}
-
-/// Fold one typed column in row order, skipping rows whose value has no
-/// float view (NULLs, booleans, strings) — exactly the rows
-/// `RetractableAgg::apply` ignores.
-fn fold_column(col: &tcq_common::batch::Column) -> ColumnAcc {
-    use tcq_common::batch::ColumnData;
-    let mut acc = ColumnAcc::default();
-    match &col.data {
-        ColumnData::Int(xs) => {
-            for (i, &x) in xs.iter().enumerate() {
-                if col.valid.get(i) {
-                    acc.add(x as f64);
-                }
-            }
-        }
-        ColumnData::Float(xs) => {
-            for (i, &x) in xs.iter().enumerate() {
-                if col.valid.get(i) {
-                    acc.add(x);
-                }
-            }
-        }
-        ColumnData::Mixed(vs) => {
-            for v in vs {
-                if let Some(x) = v.as_float() {
-                    acc.add(x);
-                }
-            }
-        }
-        // No float view: SQL aggregates skip every row.
-        ColumnData::Bool(_) | ColumnData::Str(_) => {}
-    }
-    acc
-}
-
-/// Vectorized counterpart of [`aggregate_rows`] for ungrouped plans
-/// whose aggregate arguments are plain column references: each
-/// referenced column is transposed once (only those columns — not the
-/// whole row) and folded in row order, reproducing [`LandmarkAgg`]'s
-/// accumulation (and so its float rounding) exactly. Returns `None`
-/// when the plan needs the general row path — GROUP BY, computed
-/// aggregate arguments, a ragged row set the transpose cannot type, or
-/// retraction rows (the typed columns carry no signs; the row path's
-/// compensation state handles them).
-pub fn aggregate_rows_columnar(plan: &QueryPlan, rows: &[Tuple]) -> Option<Vec<Tuple>> {
-    if !plan.group_by.is_empty() {
-        return None;
-    }
-    if rows.iter().any(Tuple::is_retraction) {
-        return None;
-    }
-    for col in &plan.outputs {
-        if let Some((_, Some(arg))) = &col.agg {
-            if !matches!(arg, Expr::Column(_)) {
-                return None;
-            }
-        }
-    }
-    let arity = rows.first().map_or(0, Tuple::arity);
-    if rows.iter().any(|t| t.arity() != arity) {
-        return None; // ragged rows: no typed columns to fold
-    }
-    // Transpose and fold each referenced column exactly once, even when
-    // several aggregates read it (COUNT/SUM/AVG over the same column).
-    let mut folded: HashMap<usize, ColumnAcc> = HashMap::new();
-    for col in &plan.outputs {
-        if let Some((_, Some(Expr::Column(c)))) = &col.agg {
-            folded.entry(*c).or_insert_with(|| {
-                if *c < arity {
-                    fold_column(&tcq_common::batch::column_at(rows, *c))
-                } else {
-                    // Out of range: the row path's argument evaluates to
-                    // NULL on every row — nothing accumulates.
-                    ColumnAcc::default()
-                }
-            });
-        }
-    }
-    let mut fields = Vec::with_capacity(plan.outputs.len());
-    for col in &plan.outputs {
-        match &col.agg {
-            None => {
-                // Ungrouped plain output: first row's value (the row
-                // path's `members.first()`), NULL over an empty window.
-                let e = col.expr.as_ref().expect("plain outputs have exprs");
-                fields.push(
-                    rows.first()
-                        .map(|r| e.eval(r).unwrap_or(Value::Null))
-                        .unwrap_or(Value::Null),
-                );
-            }
-            Some((kind, arg)) => {
-                let value = match arg {
-                    // COUNT(*)-style: every row contributes Int(1).
-                    // Summing 1.0 per row is exact in f64, so the
-                    // closed form equals the row path's fold.
-                    None => ColumnAcc {
-                        count: rows.len() as u64,
-                        sum: rows.len() as f64,
-                        min: (!rows.is_empty()).then_some(1.0),
-                        max: (!rows.is_empty()).then_some(1.0),
-                    }
-                    .value(*kind),
-                    Some(Expr::Column(c)) => folded[c].value(*kind),
-                    Some(_) => unreachable!("checked above"),
-                };
-                fields.push(value);
-            }
-        }
-    }
-    let ts = rows.last().map(|r| r.ts()).unwrap_or(Timestamp::logical(0));
-    Some(vec![Tuple::new(fields, ts)])
-}
-
 /// Validate a plan for submission (executor-level constraints).
 pub fn validate_plan(plan: &QueryPlan) -> tcq_common::Result<()> {
     use tcq_common::TcqError;
@@ -1786,47 +1634,53 @@ mod tests {
         let out = aggregate_rows(&p, &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].fields(), &[Value::Int(0), Value::Null]);
-    }
-
-    #[test]
-    fn columnar_window_aggregates_match_row_path() {
-        let planner = Planner::new(catalog());
+        // Null-heavy, all-NULL and empty windows through all five kinds
+        // agree with the independent landmark fold the sim oracle uses.
+        use tcq_windows::{AggKind, LandmarkAgg};
         let p = planner
             .plan_sql(
-                "SELECT COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS m \
+                "SELECT COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi \
                  FROM s for (; t == 0; t = -1) { WindowIs(s, 1, 10); }",
             )
             .unwrap();
-        let mut rows: Vec<Tuple> = (0..97i64)
-            .map(|i| {
-                let v = if i % 13 == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(i as f64 * 0.37 - 5.0)
-                };
-                Tuple::at_seq(vec![Value::Int(i % 7), v], i)
-            })
-            .collect();
-        assert_eq!(
-            aggregate_rows_columnar(&p, &rows).expect("vectorizable"),
-            aggregate_rows(&p, &rows)
-        );
-        rows.clear();
-        assert_eq!(
-            aggregate_rows_columnar(&p, &rows).expect("vectorizable"),
-            aggregate_rows(&p, &rows),
-            "empty window: COUNT 0, NULL elsewhere"
-        );
-        let grouped = planner
-            .plan_sql(
-                "SELECT k, COUNT(*) AS n FROM s GROUP BY k \
-                 for (; t == 0; t = -1) { WindowIs(s, 1, 10); }",
-            )
-            .unwrap();
-        assert!(
-            aggregate_rows_columnar(&grouped, &[]).is_none(),
-            "GROUP BY needs the row path"
-        );
+        let rows = |nulls_in_five: i64| -> Vec<Tuple> {
+            (0..150i64)
+                .map(|i| {
+                    let v = if i % 5 < nulls_in_five {
+                        Value::Null
+                    } else {
+                        Value::Float((i * 37 % 2000 - 1000) as f64 / 2.0)
+                    };
+                    Tuple::at_seq(vec![Value::Int(i % 7), v], i)
+                })
+                .collect()
+        };
+        for rows in [rows(3), rows(5), Vec::new()] {
+            let kinds = [
+                AggKind::Count,
+                AggKind::Sum,
+                AggKind::Avg,
+                AggKind::Min,
+                AggKind::Max,
+            ];
+            let want: Vec<Value> = kinds
+                .iter()
+                .map(|&kind| {
+                    let mut acc = LandmarkAgg::new(kind);
+                    for r in &rows {
+                        let v = match kind {
+                            AggKind::Count => Value::Int(1),
+                            _ => r.field(1).clone(),
+                        };
+                        acc.push(r.ts(), &v);
+                    }
+                    acc.value()
+                })
+                .collect();
+            let out = aggregate_rows(&p, &rows);
+            assert_eq!(out.len(), 1, "one scalar row per window");
+            assert_eq!(out[0].fields(), want.as_slice());
+        }
     }
 
     #[test]
@@ -1887,8 +1741,6 @@ mod tests {
         let plain = aggregate_rows(&p, &keep);
         assert_eq!(folded.len(), 1);
         assert_eq!(folded[0].fields(), plain[0].fields());
-        // The columnar path refuses signed rows (no sign column).
-        assert!(aggregate_rows_columnar(&p, &signed).is_none());
     }
 
     #[test]

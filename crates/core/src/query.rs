@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tcq_common::{Schema, Tuple};
-use tcq_fjords::{DequeueResult, EnqueueResult, Fjord};
+use tcq_fjords::{DequeueResult, Fjord};
 use tcq_flux::OrderedMerge;
 use tcq_sql::QueryPlan;
 
@@ -117,22 +117,11 @@ impl QueryHandle {
     }
 }
 
-/// Deliver a result set, shedding the oldest buffered set when the
-/// client lags (the push-egress QoS behaviour).
-pub(crate) fn deliver(output: &Fjord<ResultSet>, rs: ResultSet) {
-    match output.try_enqueue(rs) {
-        EnqueueResult::Ok | EnqueueResult::Closed(_) => {}
-        EnqueueResult::Full(rs) => {
-            let _ = output.try_dequeue();
-            let _ = output.try_enqueue(rs);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tcq_common::Value;
+    use tcq_wrappers::egress::deliver;
 
     fn handle(q: Fjord<ResultSet>) -> QueryHandle {
         QueryHandle::new(

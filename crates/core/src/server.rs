@@ -629,7 +629,10 @@ enum WrapperMsg {
 impl Server {
     /// Start the server: spins up the Wrapper thread, the configured
     /// number of Execution Object threads, and the storage spooler.
+    /// Fails on shed settings the triage cannot honour (see
+    /// [`Config::shed_low_frac`]).
     pub fn start(config: Config) -> Result<Server> {
+        check_shed_config(&config)?;
         let archive_root = config.archive_dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!(
                 "telegraphcq-{}-{}",
@@ -1513,7 +1516,9 @@ impl Server {
 
     /// Set a stream's overload policy at runtime (recorded in the
     /// catalog so `Catalog::lookup` agrees with the enforced policy).
+    /// A `Sample` rate must be a finite fraction in `[0, 1]`.
     pub fn set_shed_policy(&self, stream: &str, policy: ShedPolicy) -> Result<()> {
+        check_sample_rate(policy)?;
         let gid = self.stream_id(stream)?;
         self.inner.catalog.set_shed_policy(stream, Some(policy))?;
         let shed = self.inner.streams.read().unwrap()[gid].shed.clone();
@@ -1645,19 +1650,6 @@ impl Server {
         self.inner.sim_step_eo_locked(sim, eo, max)
     }
 
-    /// Number of Execution Objects (the valid `sim_step_eo` targets).
-    pub fn num_eos(&self) -> usize {
-        self.inner.eo_inputs.len()
-    }
-
-    /// Step mode only: the Wrapper's virtual clock, in completed poll
-    /// rounds (1 round == 1 virtual millisecond).
-    pub fn sim_virtual_ms(&self) -> u64 {
-        let sim = self.inner.sim_state("sim_virtual_ms");
-        let rounds = sim.wrapper.lock().unwrap().rounds;
-        rounds
-    }
-
     /// Step mode only: advance the Wrapper and the EOs together until
     /// the engine is fully settled — sources idle, pending spills
     /// re-ingested, quarantined errors surfaced, every EO queue empty.
@@ -1759,15 +1751,37 @@ impl Server {
             })
             .collect()
     }
+}
 
-    /// Observed-depth rebalance passes the Flux exchange has performed
-    /// (0 when `Config::partitions` <= 1).
-    pub fn flux_rebalances(&self) -> u64 {
-        self.inner
-            .exchange
-            .as_ref()
-            .map(|ex| ex.router.lock().unwrap().rebalances())
-            .unwrap_or(0)
+/// Reject shed settings the triage cannot honour. Both watermark
+/// fractions must be finite with `0 <= shed_low_frac < shed_high_frac
+/// <= 1`: a NaN fraction casts to a zero watermark, and an empty
+/// hysteresis band disengages shedding on the very next batch.
+fn check_shed_config(config: &Config) -> Result<()> {
+    let (low, high) = (config.shed_low_frac, config.shed_high_frac);
+    for (field, frac) in [("shed_low_frac", low), ("shed_high_frac", high)] {
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(TcqError::ExecError(format!(
+                "Config::{field} must be a fraction in [0, 1], got {frac}"
+            )));
+        }
+    }
+    if low >= high {
+        return Err(TcqError::ExecError(format!(
+            "Config::shed_low_frac ({low}) must be below Config::shed_high_frac ({high})"
+        )));
+    }
+    check_sample_rate(config.shed_policy)
+}
+
+/// A `Sample` policy keeps a tuple iff a uniform draw falls below its
+/// rate, so a NaN rate would shed everything: require `[0, 1]`.
+fn check_sample_rate(policy: ShedPolicy) -> Result<()> {
+    match policy {
+        ShedPolicy::Sample { rate } if !(0.0..=1.0).contains(&rate) => Err(TcqError::ExecError(
+            format!("ShedPolicy::Sample rate must be a fraction in [0, 1], got {rate}"),
+        )),
+        _ => Ok(()),
     }
 }
 

@@ -273,11 +273,6 @@ impl Eddy {
         self.eddy_stats
     }
 
-    /// Module names, in index order.
-    pub fn op_names(&self) -> Vec<&str> {
-        self.ops.iter().map(EddyOp::name).collect()
-    }
-
     /// The policy driving routing decisions.
     pub fn policy(&self) -> &dyn RoutingPolicy {
         self.policy.as_ref()
@@ -576,11 +571,6 @@ impl Eddy {
                 ((seq - base) as u32, t)
             })
             .collect()
-    }
-
-    /// Tuples currently awaiting routing.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Modules eligible for a tuple: filters whose streams are covered

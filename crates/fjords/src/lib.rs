@@ -13,10 +13,13 @@
 //!
 //! The central type is [`Fjord<T>`], a bounded MPMC queue offering *both*
 //! blocking and non-blocking endpoint operations, plus an end-of-stream
-//! (close) signal. The typed wrappers [`PushQueue`], [`PullQueue`] and
-//! [`ExchangeQueue`] commit each side to one modality, so a module written
-//! against them is agnostic to what sits on the other end — the property
-//! the paper calls out as the key advantage of Fjords.
+//! (close) signal. Each side picks its modality per call: `try_enqueue` /
+//! `try_dequeue` are the push endpoints, `enqueue_blocking` /
+//! `dequeue_blocking` the pull endpoints, and a non-blocking enqueue
+//! paired with a blocking dequeue is Exchange. A module is written
+//! against its own endpoints only, so it is agnostic to what sits on the
+//! other end — the property the paper calls out as the key advantage of
+//! Fjords.
 //!
 //! The [`module`] sub-module defines the non-preemptive, state-machine
 //! execution discipline ([`DataflowModule`]/[`StepResult`]) that the
@@ -30,12 +33,11 @@
 //! use tcq_fjords::{DequeueResult, EnqueueResult, Fjord};
 //!
 //! let q: Fjord<i32> = Fjord::with_capacity(2);
-//! let push = q.as_push();
-//! assert!(push.enqueue(1).is_ok());
-//! assert!(push.enqueue(2).is_ok());
+//! assert!(q.try_enqueue(1).is_ok());
+//! assert!(q.try_enqueue(2).is_ok());
 //! // Push modality never blocks: a full queue hands the item back.
-//! assert_eq!(push.enqueue(3), EnqueueResult::Full(3));
-//! assert_eq!(push.dequeue(), DequeueResult::Item(1));
+//! assert_eq!(q.try_enqueue(3), EnqueueResult::Full(3));
+//! assert_eq!(q.try_dequeue(), DequeueResult::Item(1));
 //! q.close();
 //! ```
 
@@ -45,6 +47,4 @@ pub mod queue;
 
 pub use graph::Dataflow;
 pub use module::{DataflowModule, StepResult};
-pub use queue::{
-    DequeueResult, EnqueueResult, ExchangeQueue, Fjord, FjordStats, PullQueue, PushQueue,
-};
+pub use queue::{DequeueResult, EnqueueResult, Fjord, FjordStats};

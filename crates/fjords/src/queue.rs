@@ -1,4 +1,5 @@
-//! The Fjord queue and its push / pull / exchange typed facades.
+//! The Fjord queue: one bounded buffer with push, pull and exchange
+//! endpoints.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,24 +65,6 @@ pub struct FjordStats {
 }
 
 impl FjordStats {
-    /// Average items moved per producer-side lock acquisition.
-    pub fn avg_enqueue_batch(&self) -> f64 {
-        if self.enq_locks == 0 {
-            0.0
-        } else {
-            self.enqueued as f64 / self.enq_locks as f64
-        }
-    }
-
-    /// Average items moved per consumer-side lock acquisition.
-    pub fn avg_dequeue_batch(&self) -> f64 {
-        if self.deq_locks == 0 {
-            0.0
-        } else {
-            self.dequeued as f64 / self.deq_locks as f64
-        }
-    }
-
     /// Items that entered the queue and have not (yet) left it:
     /// `enqueued - dequeued`, i.e. the depth implied by the counters.
     /// A snapshot taken while producers and consumers are running can
@@ -403,11 +386,6 @@ impl<T> Fjord<T> {
         self.shared.not_full.notify_all();
     }
 
-    /// Whether the queue has been closed (items may still be buffered).
-    pub fn is_closed(&self) -> bool {
-        self.shared.buf.lock().unwrap().closed
-    }
-
     /// Whether the stream has fully ended: closed *and* drained.
     pub fn is_finished(&self) -> bool {
         let inner = self.shared.buf.lock().unwrap();
@@ -429,16 +407,6 @@ impl<T> Fjord<T> {
         self.shared.capacity
     }
 
-    /// Total items ever enqueued (load monitoring: Flux and QoS read this).
-    pub fn total_enqueued(&self) -> u64 {
-        self.shared.enqueued.load(Ordering::Relaxed)
-    }
-
-    /// Total items ever dequeued.
-    pub fn total_dequeued(&self) -> u64 {
-        self.shared.dequeued.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of traffic and lock-amortization counters.
     pub fn stats(&self) -> FjordStats {
         FjordStats {
@@ -456,35 +424,7 @@ impl<T> Fjord<T> {
     /// consumers are running.
     pub fn stats_and_depth(&self) -> (FjordStats, usize) {
         let inner = self.shared.buf.lock().unwrap();
-        let stats = FjordStats {
-            enqueued: self.shared.enqueued.load(Ordering::Relaxed),
-            dequeued: self.shared.dequeued.load(Ordering::Relaxed),
-            enq_locks: self.shared.enq_locks.load(Ordering::Relaxed),
-            deq_locks: self.shared.deq_locks.load(Ordering::Relaxed),
-        };
-        (stats, inner.items.len())
-    }
-
-    /// Wrap as a push-queue facade.
-    pub fn as_push(&self) -> PushQueue<T> {
-        PushQueue {
-            inner: self.clone(),
-        }
-    }
-
-    /// Wrap as a pull-queue facade.
-    pub fn as_pull(&self) -> PullQueue<T> {
-        PullQueue {
-            inner: self.clone(),
-        }
-    }
-
-    /// Wrap as an exchange facade (non-blocking enqueue, blocking
-    /// dequeue).
-    pub fn as_exchange(&self) -> ExchangeQueue<T> {
-        ExchangeQueue {
-            inner: self.clone(),
-        }
+        (self.stats(), inner.items.len())
     }
 }
 
@@ -528,121 +468,6 @@ impl<T: Send + 'static> Fjord<T> {
                 tcq_metrics::SampleValue::Counter(stats.deq_locks),
             );
         });
-    }
-}
-
-/// Push-queue facade: non-blocking on both ends.
-#[derive(Debug, Clone)]
-pub struct PushQueue<T> {
-    inner: Fjord<T>,
-}
-
-impl<T> PushQueue<T> {
-    /// Non-blocking enqueue.
-    pub fn enqueue(&self, item: T) -> EnqueueResult<T> {
-        self.inner.try_enqueue(item)
-    }
-
-    /// Non-blocking batch enqueue.
-    pub fn enqueue_many(&self, items: Vec<T>) -> EnqueueResult<Vec<T>> {
-        self.inner.enqueue_many(items)
-    }
-
-    /// Non-blocking dequeue.
-    pub fn dequeue(&self) -> DequeueResult<T> {
-        self.inner.try_dequeue()
-    }
-
-    /// Non-blocking batch dequeue.
-    pub fn dequeue_up_to(&self, max: usize) -> DequeueResult<Vec<T>> {
-        self.inner.dequeue_up_to(max)
-    }
-
-    /// Close the stream.
-    pub fn close(&self) {
-        self.inner.close()
-    }
-
-    /// The underlying queue (for stats).
-    pub fn fjord(&self) -> &Fjord<T> {
-        &self.inner
-    }
-}
-
-/// Pull-queue facade: blocking on both ends.
-#[derive(Debug, Clone)]
-pub struct PullQueue<T> {
-    inner: Fjord<T>,
-}
-
-impl<T> PullQueue<T> {
-    /// Blocking enqueue.
-    pub fn enqueue(&self, item: T) -> EnqueueResult<T> {
-        self.inner.enqueue_blocking(item)
-    }
-
-    /// Blocking batch enqueue.
-    pub fn enqueue_many(&self, items: Vec<T>) -> EnqueueResult<Vec<T>> {
-        self.inner.enqueue_many_blocking(items)
-    }
-
-    /// Blocking dequeue.
-    pub fn dequeue(&self) -> DequeueResult<T> {
-        self.inner.dequeue_blocking()
-    }
-
-    /// Blocking batch dequeue.
-    pub fn dequeue_up_to(&self, max: usize) -> DequeueResult<Vec<T>> {
-        self.inner.dequeue_up_to_blocking(max)
-    }
-
-    /// Close the stream.
-    pub fn close(&self) {
-        self.inner.close()
-    }
-
-    /// The underlying queue (for stats).
-    pub fn fjord(&self) -> &Fjord<T> {
-        &self.inner
-    }
-}
-
-/// Exchange facade \[Graf93\]: producer enqueues without blocking, consumer
-/// blocks until data is available.
-#[derive(Debug, Clone)]
-pub struct ExchangeQueue<T> {
-    inner: Fjord<T>,
-}
-
-impl<T> ExchangeQueue<T> {
-    /// Non-blocking enqueue.
-    pub fn enqueue(&self, item: T) -> EnqueueResult<T> {
-        self.inner.try_enqueue(item)
-    }
-
-    /// Non-blocking batch enqueue.
-    pub fn enqueue_many(&self, items: Vec<T>) -> EnqueueResult<Vec<T>> {
-        self.inner.enqueue_many(items)
-    }
-
-    /// Blocking dequeue.
-    pub fn dequeue(&self) -> DequeueResult<T> {
-        self.inner.dequeue_blocking()
-    }
-
-    /// Blocking batch dequeue.
-    pub fn dequeue_up_to(&self, max: usize) -> DequeueResult<Vec<T>> {
-        self.inner.dequeue_up_to_blocking(max)
-    }
-
-    /// Close the stream.
-    pub fn close(&self) {
-        self.inner.close()
-    }
-
-    /// The underlying queue (for stats).
-    pub fn fjord(&self) -> &Fjord<T> {
-        &self.inner
     }
 }
 
@@ -725,8 +550,8 @@ mod tests {
         }
         q.try_dequeue();
         q.try_dequeue();
-        assert_eq!(q.total_enqueued(), 5);
-        assert_eq!(q.total_dequeued(), 2);
+        let s = q.stats();
+        assert_eq!((s.enqueued, s.dequeued), (5, 2));
         assert_eq!(q.len(), 3);
         assert_eq!(q.capacity(), 8);
     }
@@ -803,8 +628,6 @@ mod tests {
         assert_eq!(s.dequeued, 512);
         assert_eq!(s.enq_locks, 1);
         assert_eq!(s.deq_locks, 1);
-        assert!((s.avg_enqueue_batch() - 512.0).abs() < f64::EPSILON);
-        assert!((s.avg_dequeue_batch() - 512.0).abs() < f64::EPSILON);
         assert!(s.is_quiescent());
         assert_eq!(s.in_flight(), 0);
     }
@@ -894,23 +717,23 @@ mod tests {
 
     #[test]
     fn facades_expose_right_modality() {
+        // Push modality: non-blocking on both ends.
         let q: Fjord<i32> = Fjord::with_capacity(1);
-        let push = q.as_push();
-        let pull = q.as_pull();
-        assert!(push.enqueue(1).is_ok());
-        assert_eq!(push.enqueue(2), EnqueueResult::Full(2));
-        assert_eq!(pull.dequeue(), DequeueResult::Item(1));
-        assert_eq!(push.dequeue(), DequeueResult::Empty);
+        assert!(q.try_enqueue(1).is_ok());
+        assert_eq!(q.try_enqueue(2), EnqueueResult::Full(2));
+        // Pull modality: the blocking dequeue returns the buffered item.
+        assert_eq!(q.dequeue_blocking(), DequeueResult::Item(1));
+        assert_eq!(q.try_dequeue(), DequeueResult::Empty);
     }
 
     #[test]
     fn exchange_semantics() {
+        // Exchange: the producer never blocks, the consumer waits.
         let q: Fjord<i32> = Fjord::with_capacity(2);
-        let ex = q.as_exchange();
-        let ex2 = ex.clone();
-        let h = thread::spawn(move || ex2.dequeue());
+        let q2 = q.clone();
+        let h = thread::spawn(move || q2.dequeue_blocking());
         thread::sleep(Duration::from_millis(20));
-        assert!(ex.enqueue(7).is_ok());
+        assert!(q.try_enqueue(7).is_ok());
         assert_eq!(h.join().unwrap(), DequeueResult::Item(7));
     }
 

@@ -174,11 +174,6 @@ impl FluxCluster {
         self.stats
     }
 
-    /// Number of machines.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
     /// Number of mini-partitions.
     pub fn partition_count(&self) -> usize {
         self.primary.len()
@@ -296,21 +291,6 @@ impl FluxCluster {
         moved
     }
 
-    /// [`FluxCluster::rebalance`] driven by an *observed* load vector
-    /// (e.g. per-partition input Fjord depths from the thread-backed
-    /// exchange) instead of the simulated work accumulators: the
-    /// observation overwrites each live machine's work before the same
-    /// greedy pass runs. Returns partitions moved.
-    pub fn rebalance_observed(&mut self, observed: &[f64]) -> usize {
-        assert_eq!(observed.len(), self.machines.len());
-        for (m, &load) in self.machines.iter_mut().zip(observed) {
-            if m.alive {
-                m.work = load;
-            }
-        }
-        self.rebalance()
-    }
-
     /// Kill a machine (fault injection). Partitions with a live replica
     /// are promoted; others lose their state and restart empty on a live
     /// machine.
@@ -383,16 +363,6 @@ impl FluxCluster {
             }
         }
         out
-    }
-
-    /// Total state entries across live primaries.
-    pub fn total_state(&self) -> usize {
-        self.primary
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| self.machines[m].alive)
-            .map(|(p, &m)| self.machines[m].op.state_size(p as u32))
-            .sum()
     }
 
     fn partition_of(&self, tuple: &Tuple) -> usize {

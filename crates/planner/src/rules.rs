@@ -262,7 +262,7 @@ fn simplify_step(e: &mut Expr) -> bool {
 
 /// Conjunctive normal form with a size guard: returns the top-level
 /// AND factors after distributing OR over AND. When the expansion
-/// would exceed [`CNF_MAX_FACTORS`] the original expression is kept as
+/// would exceed `CNF_MAX_FACTORS` the original expression is kept as
 /// a single factor.
 pub fn cnf_factors(e: &Expr) -> Vec<Expr> {
     fn go(e: &Expr, budget: usize) -> Option<Vec<Expr>> {

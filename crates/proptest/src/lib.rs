@@ -257,7 +257,7 @@ pub mod collection {
         hi: usize,
     }
 
-    /// Size bounds accepted by [`vec`]: `a..b`, `a..=b`, or an exact `usize`.
+    /// Size bounds accepted by [`vec()`]: `a..b`, `a..=b`, or an exact `usize`.
     pub trait IntoSizeRange {
         fn bounds(self) -> (usize, usize);
     }

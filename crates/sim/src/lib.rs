@@ -34,7 +34,7 @@
 //!   at either consistency level and checked against the in-order
 //!   twin by [`check_episode`]'s metamorphic comparison), and every
 //!   shed policy.
-//! * [`shrink`] — greedy minimization of a failing episode to a small
+//! * [`mod@shrink`] — greedy minimization of a failing episode to a small
 //!   replayable artifact for `tests/sim_corpus/`.
 //!
 //! The `tcq-sim` binary (`cargo run -p sim -- --seed <n> --episodes

@@ -374,14 +374,6 @@ impl QueryPlan {
         Layout::new(self.streams.iter().map(|s| s.arity).collect())
     }
 
-    /// Index of the stream bound to `alias` (or name).
-    pub fn stream_index(&self, alias: &str) -> Option<usize> {
-        let alias = alias.to_ascii_lowercase();
-        self.streams
-            .iter()
-            .position(|s| s.alias == alias || s.name == alias)
-    }
-
     /// Whether any output is an aggregate.
     pub fn is_aggregating(&self) -> bool {
         self.outputs.iter().any(|o| o.agg.is_some())

@@ -166,16 +166,6 @@ impl SteM {
         &self.indexes[0].cols
     }
 
-    /// The key columns of index `idx`.
-    pub fn index_cols(&self, idx: usize) -> &[usize] {
-        &self.indexes[idx].cols
-    }
-
-    /// Number of indexes (including the primary).
-    pub fn index_count(&self) -> usize {
-        self.indexes.len()
-    }
-
     /// Number of live tuples.
     pub fn len(&self) -> usize {
         self.live.len()

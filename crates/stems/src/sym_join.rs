@@ -56,16 +56,6 @@ impl SymmetricHashJoin {
         self.right.len()
     }
 
-    /// Access the left SteM (stats, diagnostics).
-    pub fn left_stem(&self) -> &SteM {
-        &self.left
-    }
-
-    /// Access the right SteM (stats, diagnostics).
-    pub fn right_stem(&self) -> &SteM {
-        &self.right
-    }
-
     /// Process an arriving left tuple: build left, probe right. Returns
     /// concatenated `left ++ right` matches passing the residual.
     pub fn push_left(&mut self, t: Tuple) -> Vec<Tuple> {

@@ -47,11 +47,6 @@ impl Bound {
     pub fn eval(&self, t: i64) -> i64 {
         self.coeff.saturating_mul(t).saturating_add(self.offset)
     }
-
-    /// Whether this bound is fixed (does not move with `t`).
-    pub fn is_fixed(&self) -> bool {
-        self.coeff == 0
-    }
 }
 
 /// The for-loop continuation condition.

@@ -1,134 +1,35 @@
-//! Egress operators: delivering results to clients (§4.3 "Egress
-//! Modules").
+//! Egress: delivering results to clients (§4.3 "Egress Modules").
 //!
 //! "Push-based egress operators support interaction where clients are
 //! continually streamed query results, while pull-based egress operators
 //! may log data and support intermittent retrieval of results."
+//!
+//! Both modalities share one bounded Fjord per query: the executor
+//! [`deliver`]s into it, and the client either streams from it
+//! (`try_dequeue` / `dequeue_blocking`) or returns intermittently and
+//! fetches the retained backlog (`dequeue_up_to`).
 
-use std::collections::VecDeque;
-
-use tcq_common::Tuple;
 use tcq_fjords::{EnqueueResult, Fjord};
 
-/// Push egress: results stream into a bounded Fjord that a client
-/// drains. When the client falls behind (queue full), the oldest results
-/// are shed and counted — the QoS "knob" surface the paper discusses for
-/// clients that cannot keep up.
-pub struct PushEgress {
-    queue: Fjord<Tuple>,
-    shed: u64,
-    delivered: u64,
-}
-
-impl PushEgress {
-    /// An egress with a client buffer of `capacity` results. Returns the
-    /// egress and the client's consuming handle.
-    pub fn new(capacity: usize) -> (PushEgress, Fjord<Tuple>) {
-        let queue = Fjord::with_capacity(capacity);
-        (
-            PushEgress {
-                queue: queue.clone(),
-                shed: 0,
-                delivered: 0,
-            },
-            queue,
-        )
-    }
-
-    /// Deliver one result; sheds the oldest buffered result if the
-    /// client is behind.
-    pub fn deliver(&mut self, t: Tuple) {
-        match self.queue.try_enqueue(t) {
-            EnqueueResult::Ok => self.delivered += 1,
-            EnqueueResult::Full(t) => {
-                // Shed oldest, retry once.
-                let _ = self.queue.try_dequeue();
-                self.shed += 1;
-                if self.queue.try_enqueue(t).is_ok() {
-                    self.delivered += 1;
-                }
-            }
-            EnqueueResult::Closed(_) => {}
+/// Deliver one result into a client's bounded buffer. When the client
+/// lags (the buffer is full), the oldest buffered result is shed to make
+/// room, so the buffer always holds the newest `capacity` results — the
+/// QoS "knob" surface the paper discusses for clients that cannot keep
+/// up. A closed buffer (the query was stopped) drops the result.
+pub fn deliver<T>(queue: &Fjord<T>, item: T) {
+    match queue.try_enqueue(item) {
+        EnqueueResult::Ok | EnqueueResult::Closed(_) => {}
+        EnqueueResult::Full(item) => {
+            let _ = queue.try_dequeue();
+            let _ = queue.try_enqueue(item);
         }
-    }
-
-    /// Results shed because the client lagged.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Results successfully buffered for the client.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Signal end of results.
-    pub fn close(&self) {
-        self.queue.close();
-    }
-}
-
-/// Pull egress: results are logged and fetched on demand, PSoup-style
-/// ("users can register queries with the system and return
-/// intermittently to retrieve the latest answers").
-#[derive(Debug, Default)]
-pub struct PullEgress {
-    log: VecDeque<Tuple>,
-    /// Retain at most this many results (0 = unbounded).
-    retain: usize,
-    dropped: u64,
-}
-
-impl PullEgress {
-    /// A pull egress retaining up to `retain` results (0 = unbounded).
-    pub fn new(retain: usize) -> PullEgress {
-        PullEgress {
-            log: VecDeque::new(),
-            retain,
-            dropped: 0,
-        }
-    }
-
-    /// Log a result.
-    pub fn deliver(&mut self, t: Tuple) {
-        self.log.push_back(t);
-        if self.retain > 0 && self.log.len() > self.retain {
-            self.log.pop_front();
-            self.dropped += 1;
-        }
-    }
-
-    /// Fetch (and consume) up to `max` logged results.
-    pub fn fetch(&mut self, max: usize) -> Vec<Tuple> {
-        let n = max.min(self.log.len());
-        self.log.drain(..n).collect()
-    }
-
-    /// Peek without consuming.
-    pub fn peek(&self) -> impl Iterator<Item = &Tuple> {
-        self.log.iter()
-    }
-
-    /// Results currently retained.
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// True iff no results are pending.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Results dropped by the retention bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcq_common::Value;
+    use tcq_common::{Tuple, Value};
     use tcq_fjords::DequeueResult;
 
     fn t(i: i64) -> Tuple {
@@ -137,51 +38,58 @@ mod tests {
 
     #[test]
     fn push_egress_streams_to_client() {
-        let (mut e, client) = PushEgress::new(8);
-        e.deliver(t(1));
-        e.deliver(t(2));
+        let client = Fjord::with_capacity(8);
+        deliver(&client, t(1));
+        deliver(&client, t(2));
         assert_eq!(client.try_dequeue(), DequeueResult::Item(t(1)));
         assert_eq!(client.try_dequeue(), DequeueResult::Item(t(2)));
-        assert_eq!(e.delivered(), 2);
-        assert_eq!(e.shed(), 0);
-        e.close();
+        assert_eq!(client.try_dequeue(), DequeueResult::Empty);
+        client.close();
+        deliver(&client, t(3));
         assert_eq!(client.try_dequeue(), DequeueResult::Closed);
     }
 
     #[test]
     fn push_egress_sheds_oldest_when_client_lags() {
-        let (mut e, client) = PushEgress::new(2);
+        let client = Fjord::with_capacity(2);
         for i in 1..=5 {
-            e.deliver(t(i));
+            deliver(&client, t(i));
         }
-        assert_eq!(e.shed(), 3);
-        // The two newest survive.
+        // The two newest survive; the three oldest were shed.
         assert_eq!(client.try_dequeue(), DequeueResult::Item(t(4)));
         assert_eq!(client.try_dequeue(), DequeueResult::Item(t(5)));
+        assert_eq!(client.try_dequeue(), DequeueResult::Empty);
     }
 
     #[test]
     fn pull_egress_logs_and_fetches() {
-        let mut e = PullEgress::new(0);
+        let log = Fjord::with_capacity(16);
         for i in 1..=5 {
-            e.deliver(t(i));
+            deliver(&log, t(i));
         }
-        assert_eq!(e.len(), 5);
-        let got = e.fetch(3);
-        assert_eq!(got, vec![t(1), t(2), t(3)]);
-        assert_eq!(e.len(), 2);
-        assert_eq!(e.fetch(10), vec![t(4), t(5)]);
-        assert!(e.is_empty());
+        assert_eq!(log.len(), 5);
+        // A fetch consumes the oldest results first.
+        assert_eq!(
+            log.dequeue_up_to(3),
+            DequeueResult::Item(vec![t(1), t(2), t(3)])
+        );
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.dequeue_up_to(10), DequeueResult::Item(vec![t(4), t(5)]));
+        assert!(log.is_empty());
     }
 
     #[test]
     fn pull_egress_retention_bound() {
-        let mut e = PullEgress::new(3);
+        let log = Fjord::with_capacity(3);
         for i in 1..=10 {
-            e.deliver(t(i));
+            deliver(&log, t(i));
         }
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.dropped(), 7);
-        assert_eq!(e.peek().next(), Some(&t(8)));
+        assert_eq!(log.len(), 3);
+        // Seven results were shed to keep the newest three.
+        assert_eq!(log.stats().dequeued, 7);
+        assert_eq!(
+            log.dequeue_up_to(10),
+            DequeueResult::Item(vec![t(8), t(9), t(10)])
+        );
     }
 }

@@ -27,8 +27,9 @@
 //!   local table, implementing [`tcq_stems::IndexSource`]; the stand-in
 //!   for "a web lookup form wrapped by TeSS" in the SteM hybrid-join
 //!   claim (E3, asserted below).
-//! * [`egress`] — push egress (streamed delivery via a Fjord) and pull
-//!   egress (logged results fetched on demand).
+//! * [`egress::deliver`] — result delivery into a client's bounded Fjord,
+//!   shedding the oldest result when the client lags; the client streams
+//!   from it (push) or fetches the retained backlog later (pull).
 
 //!
 //! ## Example
@@ -47,7 +48,6 @@ pub mod gen;
 pub mod remote;
 pub mod source;
 
-pub use egress::{PullEgress, PushEgress};
 pub use gen::{DriftGen, PacketGen, SensorGen, StockTicker};
 pub use remote::SimulatedRemoteIndex;
 pub use source::{

@@ -202,7 +202,44 @@ fn shed_policy_round_trips_catalog_and_stats() {
     );
     assert!(s.set_shed_policy("nosuch", ShedPolicy::Spill).is_err());
     assert!(s.shed_stats("nosuch").is_err());
+    // A sample rate outside [0, 1] is refused and leaves the policy as
+    // it was (a NaN rate would shed every tuple).
+    for rate in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+        let err = s
+            .set_shed_policy("S", ShedPolicy::Sample { rate })
+            .expect_err("out-of-range sample rate");
+        assert!(err.to_string().contains("rate"), "{err}");
+    }
+    assert_eq!(
+        s.shed_stats("S").unwrap().policy,
+        ShedPolicy::Sample { rate: 0.5 }
+    );
     s.shutdown();
+    // Watermark fractions and the engine-wide sample rate are checked
+    // at start: each bad setting is refused, naming its field.
+    let bad = [
+        ("shed_high_frac", f64::NAN, 0.25, ShedPolicy::DropNewest),
+        ("shed_low_frac", 0.875, f64::NAN, ShedPolicy::DropNewest),
+        ("shed_low_frac", 0.5, 0.5, ShedPolicy::DropOldest),
+        ("shed_low_frac", 0.25, 0.875, ShedPolicy::DropOldest),
+        ("shed_high_frac", 1.5, 0.25, ShedPolicy::Spill),
+        ("shed_low_frac", 0.875, -0.25, ShedPolicy::Spill),
+        ("rate", 0.875, 0.25, ShedPolicy::Sample { rate: f64::NAN }),
+    ];
+    for (field, shed_high_frac, shed_low_frac, policy) in bad {
+        let config = Config {
+            shed_high_frac,
+            shed_low_frac,
+            ..overload_config(policy)
+        };
+        match Server::start(config) {
+            Ok(s) => {
+                s.shutdown();
+                panic!("{field}: high {shed_high_frac}, low {shed_low_frac}, {policy} accepted");
+            }
+            Err(err) => assert!(err.to_string().contains(field), "{err}"),
+        }
+    }
 }
 
 /// The `tcq$shed` introspection stream is queryable live: a standing

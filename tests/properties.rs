@@ -426,39 +426,6 @@ proptest! {
         prop_assert_eq!(row_eddy.stats().emitted, col_eddy.stats().emitted);
         prop_assert_eq!(row_eddy.stats().dropped, col_eddy.stats().dropped);
     }
-
-    /// Columnar tentpole invariant, window-aggregate layer: the
-    /// columnar fold matches `aggregate_rows` byte for byte across all
-    /// five aggregate kinds, including null-heavy and empty inputs.
-    #[test]
-    fn columnar_aggregates_equal_row_aggregates(
-        vals in proptest::collection::vec((0u8..5, -1000i64..1000), 0..150),
-    ) {
-        use tcq_common::{Catalog, DataType, Field, Schema};
-        use tcq_sql::Planner;
-        let catalog = Catalog::new();
-        catalog
-            .register_stream(
-                "m",
-                Schema::qualified("m", vec![Field::new("v", DataType::Float)]),
-            )
-            .unwrap();
-        let plan = Planner::new(catalog)
-            .plan_sql(
-                "SELECT COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a, \
-                 MIN(v) AS lo, MAX(v) AS hi FROM m",
-            )
-            .unwrap();
-        let rows: Vec<Tuple> = vals
-            .iter()
-            .enumerate()
-            .map(|(i, &(m, v))| Tuple::at_seq(vec![opt_float(m, v)], i as i64))
-            .collect();
-        let row = tcq::executor::aggregate_rows(&plan, &rows);
-        let col = tcq::executor::aggregate_rows_columnar(&plan, &rows)
-            .expect("single-group column-arg plan is vectorizable");
-        prop_assert_eq!(row, col);
-    }
 }
 
 proptest! {
