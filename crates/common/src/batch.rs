@@ -291,14 +291,6 @@ impl ColumnBatch {
     }
 }
 
-/// Build the typed column at `idx` from a row slice without consuming
-/// or cloning the rows — for consumers that need only a few columns of
-/// an already-owned row set (e.g. windowed aggregation) and would waste
-/// work transposing the rest. Every row must have `idx` in range.
-pub fn column_at(rows: &[Tuple], idx: usize) -> Column {
-    build_column(rows, idx)
-}
-
 /// Type-detect and fill one column (two passes: discriminant scan, then
 /// a monomorphic fill loop).
 fn build_column(rows: &[Tuple], c: usize) -> Column {

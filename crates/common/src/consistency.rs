@@ -32,8 +32,8 @@ pub enum Consistency {
 
 impl Consistency {
     /// Parse from a (case-insensitive) keyword, as in CQ-SQL's
-    /// `WITH CONSISTENCY <level>` clause and the `TCQ_CONSISTENCY`
-    /// environment override.
+    /// `WITH CONSISTENCY <level>` clause and a simulation episode's
+    /// `consistency` line.
     pub fn parse(s: &str) -> Option<Consistency> {
         match s.to_ascii_lowercase().as_str() {
             "watermark" => Some(Consistency::Watermark),

@@ -94,12 +94,6 @@ pub struct Config {
     /// partition. In `step_mode` the partitions drain round-robin in
     /// virtual time, so simulation episodes remain deterministic at any
     /// degree.
-    ///
-    /// `Config::default()` honors a `TCQ_PARTITIONS` environment
-    /// variable (an integer ≥ 1; anything else panics) so CI can replay the
-    /// entire test suite sharded — outputs are required to be identical,
-    /// making every existing assertion a partitioning regression test.
-    /// Explicit `partitions:` fields in struct literals still win.
     pub partitions: usize,
     /// Columnar vectorized batch execution (default on).
     ///
@@ -114,11 +108,6 @@ pub struct Config {
     /// timestamps) fall back to the row evaluator per batch, counted on
     /// `tcq$operators` as `columnar.fallback_rows`.
     /// Results are byte-identical to the row path either way.
-    ///
-    /// `Config::default()` honors a `TCQ_COLUMNAR` environment variable
-    /// (`0` disables, `1` leaves it on) as the escape hatch,
-    /// so CI replays the full test suite on both paths. Explicit
-    /// `columnar:` fields in struct literals still win.
     pub columnar: bool,
     /// Durability mode (default [`Durability::Off`]).
     ///
@@ -133,11 +122,6 @@ pub struct Config {
     /// [`crate::Server::recover`] to replay the checkpoint + log tail —
     /// the engine's determinism rebuilds archives, operator state, and
     /// the full result stream. See DESIGN.md §14.
-    ///
-    /// `Config::default()` honors a `TCQ_DURABILITY` environment
-    /// variable (`off` / `buffered` / `fsync`), so CI can replay the
-    /// whole test suite with logging on. Explicit `durability:` fields
-    /// in struct literals still win.
     pub durability: Durability,
     /// WAL segment size: the log rotates to a new `seg-N.wal` once the
     /// current one exceeds this many bytes.
@@ -155,10 +139,6 @@ pub struct Config {
     /// serving with durability declared lost and every at-risk row
     /// counted; [`OnStorageError::Halt`] refuses further admission
     /// instead. Transitions are recorded on the `tcq$health` stream.
-    ///
-    /// `Config::default()` honors a `TCQ_ON_STORAGE_ERROR` environment
-    /// variable (`degrade` / `halt`). Explicit fields in struct
-    /// literals still win.
     pub on_storage_error: OnStorageError,
     /// Global memory budget for in-flight tuple data, in bytes (`None`
     /// = unbudgeted). When a batch would push the in-flight estimate
@@ -167,16 +147,12 @@ pub struct Config {
     /// the high-water mark provably stays at or under the limit — a
     /// flood degrades per policy instead of OOMing. The budget gauge
     /// is published as a `mem.budget` row on `tcq$queues`.
-    ///
-    /// `Config::default()` honors `TCQ_MEM_BUDGET` (bytes).
     pub mem_budget_bytes: Option<u64>,
     /// Per-stream memory budget, in bytes (`None` = no per-stream
     /// cap). One noisy stream then sheds against its own cap before it
     /// can exhaust the global budget for everyone else. `tcq$*` system
     /// streams are exempt (introspection must keep flowing under
     /// pressure).
-    ///
-    /// `Config::default()` honors `TCQ_MEM_BUDGET_STREAM` (bytes).
     pub mem_budget_stream_bytes: Option<u64>,
     /// Cross-query plan sharing at admit time (default on).
     ///
@@ -192,11 +168,6 @@ pub struct Config {
     /// be byte-identical with sharing on or off; the `tcq$plans`
     /// introspection stream reports signatures, share counts, and
     /// residual counts.
-    ///
-    /// `Config::default()` honors a `TCQ_PLAN_SHARING` environment
-    /// variable (`0` disables — the escape hatch CI uses to replay the
-    /// suite unshared). Explicit `plan_sharing:` fields in struct
-    /// literals still win.
     pub plan_sharing: bool,
     /// Default consistency level for queries that do not carry their own
     /// `WITH CONSISTENCY` clause (default [`Consistency::Watermark`]).
@@ -209,12 +180,6 @@ pub struct Config {
     /// signed retraction deltas when late tuples land inside. In-order
     /// streams release identically under both levels, so flipping the
     /// default is invisible to them.
-    ///
-    /// `Config::default()` honors a `TCQ_CONSISTENCY` environment
-    /// variable (`watermark` / `speculative`), so CI can replay the full
-    /// test suite with speculation as the default. Explicit
-    /// `consistency:` fields in struct literals and per-query clauses
-    /// still win.
     pub consistency: Consistency,
     /// Deterministic single-threaded stepping (the simulation harness).
     ///
@@ -249,142 +214,24 @@ impl Default for Config {
             shed_low_frac: 0.25,
             source_retry_max: 5,
             eo_batch_delay: None,
-            partitions: from_env("TCQ_PARTITIONS", "an integer >= 1", |v| {
-                v.parse().ok().filter(|&p| p >= 1)
-            })
-            .unwrap_or(1),
-            columnar: from_env("TCQ_COLUMNAR", "0 | 1", parse_switch).unwrap_or(true),
-            durability: from_env(
-                "TCQ_DURABILITY",
-                "off | buffered | fsync",
-                Durability::parse,
-            )
-            .unwrap_or(Durability::Off),
+            partitions: 1,
+            columnar: true,
+            durability: Durability::Off,
             wal_segment_bytes: 4 << 20,
             checkpoint_bytes: 4 << 20,
-            on_storage_error: from_env(
-                "TCQ_ON_STORAGE_ERROR",
-                "degrade | halt",
-                OnStorageError::parse,
-            )
-            .unwrap_or_default(),
-            mem_budget_bytes: from_env("TCQ_MEM_BUDGET", BYTES, |v| v.parse().ok())
-                .filter(|&b| b > 0),
-            mem_budget_stream_bytes: from_env("TCQ_MEM_BUDGET_STREAM", BYTES, |v| v.parse().ok())
-                .filter(|&b| b > 0),
-            plan_sharing: from_env("TCQ_PLAN_SHARING", "0 | 1", parse_switch).unwrap_or(true),
-            consistency: from_env(
-                "TCQ_CONSISTENCY",
-                "watermark | speculative",
-                Consistency::parse,
-            )
-            .unwrap_or_default(),
+            on_storage_error: OnStorageError::Degrade,
+            mem_budget_bytes: None,
+            mem_budget_stream_bytes: None,
+            plan_sharing: true,
+            consistency: Consistency::Watermark,
             step_mode: false,
         }
     }
 }
 
-/// The `TCQ_*` override `name` of a [`Config::default`] field, read
-/// from the environment (see [`env_override`]).
-fn from_env<T>(name: &str, accepted: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
-    env_override(name, std::env::var(name).ok().as_deref(), accepted, parse)
-}
-
-/// One environment override: `None` when the variable is unset (the
-/// field keeps its default), the parsed value when set.
-///
-/// # Panics
-///
-/// When the variable is set to something `parse` rejects. The overrides
-/// exist so CI can replay the whole suite under another engine
-/// configuration; falling back to the default on a typo would run the
-/// default engine and report the mistyped leg green.
-fn env_override<T>(
-    name: &str,
-    raw: Option<&str>,
-    accepted: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Option<T> {
-    raw.map(|v| {
-        parse(v).unwrap_or_else(|| panic!("{name}={v:?} is not understood (accepted: {accepted})"))
-    })
-}
-
-/// An on/off override: `0` is off, `1` is on.
-fn parse_switch(v: &str) -> Option<bool> {
-    match v {
-        "0" => Some(false),
-        "1" => Some(true),
-        _ => None,
-    }
-}
-
-/// What a memory-budget override accepts.
-const BYTES: &str = "a byte count, 0 = unbudgeted";
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_override_parses_or_keeps_the_default() {
-        let partitions = |raw| {
-            env_override("TCQ_PARTITIONS", raw, "an integer >= 1", |v| {
-                v.parse::<usize>().ok().filter(|&p| p >= 1)
-            })
-        };
-        assert_eq!(partitions(None), None, "unset keeps the default");
-        assert_eq!(partitions(Some("4")), Some(4));
-        assert_eq!(
-            env_override("TCQ_COLUMNAR", Some("0"), "0 | 1", parse_switch),
-            Some(false)
-        );
-        assert_eq!(
-            env_override("TCQ_DURABILITY", Some("fsync"), "", Durability::parse),
-            Some(Durability::Fsync)
-        );
-        assert_eq!(
-            env_override("TCQ_MEM_BUDGET", Some("4096"), BYTES, |v| v
-                .parse::<u64>()
-                .ok()),
-            Some(4096)
-        );
-    }
-
-    /// The panic a mistyped override must raise instead of falling back
-    /// to the default.
-    fn rejection<T>(name: &str, raw: &str, accepted: &str, parse: impl FnOnce(&str) -> Option<T>) {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            env_override(name, Some(raw), accepted, parse);
-        }));
-        let payload = caught.expect_err("a mistyped override must not fall back to the default");
-        let msg = payload.downcast_ref::<String>().expect("formatted panic");
-        assert!(
-            msg.contains(name) && msg.contains(raw) && msg.contains(accepted),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn env_override_rejects_typos_loudly() {
-        let partitions = |v: &str| v.parse::<usize>().ok().filter(|&p| p >= 1);
-        rejection("TCQ_PARTITIONS", "four", "an integer >= 1", partitions);
-        rejection("TCQ_PARTITIONS", "0", "an integer >= 1", partitions);
-        rejection(
-            "TCQ_DURABILITY",
-            "fsnc",
-            "off | buffered | fsync",
-            Durability::parse,
-        );
-        rejection(
-            "TCQ_CONSISTENCY",
-            "spec",
-            "watermark | speculative",
-            Consistency::parse,
-        );
-        rejection("TCQ_COLUMNAR", "false", "0 | 1", parse_switch);
-        rejection("TCQ_MEM_BUDGET", "1GB", BYTES, |v| v.parse::<u64>().ok());
-    }
 
     #[test]
     fn default_config_is_sane() {
@@ -395,32 +242,19 @@ mod tests {
         assert!(c.shed_policy.is_block(), "shedding is strictly opt-in");
         assert!(c.shed_low_frac < c.shed_high_frac);
         assert!(c.eo_batch_delay.is_none());
-        if std::env::var("TCQ_PARTITIONS").is_err() {
-            assert_eq!(c.partitions, 1, "partitioning is strictly opt-in");
-        }
-        if std::env::var("TCQ_COLUMNAR").is_err() {
-            assert!(c.columnar, "columnar execution is the default");
-        }
-        if std::env::var("TCQ_DURABILITY").is_err() {
-            assert!(c.durability.is_off(), "durability is strictly opt-in");
-        }
+        assert_eq!(c.partitions, 1, "partitioning is strictly opt-in");
+        assert!(c.columnar, "columnar execution is the default");
+        assert!(c.durability.is_off(), "durability is strictly opt-in");
         assert!(c.wal_segment_bytes > 0);
         assert!(c.checkpoint_bytes > 0);
-        if std::env::var("TCQ_ON_STORAGE_ERROR").is_err() {
-            assert_eq!(c.on_storage_error, OnStorageError::Degrade);
-        }
-        if std::env::var("TCQ_MEM_BUDGET").is_err() {
-            assert!(c.mem_budget_bytes.is_none(), "budgets are strictly opt-in");
-        }
-        if std::env::var("TCQ_PLAN_SHARING").is_err() {
-            assert!(c.plan_sharing, "plan sharing is the default");
-        }
-        if std::env::var("TCQ_CONSISTENCY").is_err() {
-            assert_eq!(
-                c.consistency,
-                Consistency::Watermark,
-                "speculation is strictly opt-in"
-            );
-        }
+        assert_eq!(c.on_storage_error, OnStorageError::Degrade);
+        assert!(c.mem_budget_bytes.is_none(), "budgets are strictly opt-in");
+        assert!(c.mem_budget_stream_bytes.is_none());
+        assert!(c.plan_sharing, "plan sharing is the default");
+        assert_eq!(
+            c.consistency,
+            Consistency::Watermark,
+            "speculation is strictly opt-in"
+        );
     }
 }

@@ -3469,9 +3469,6 @@ mod tests {
 
     #[test]
     fn recover_errors_when_durability_off() {
-        // Pin Off explicitly: under the CI TCQ_DURABILITY matrix the
-        // default config is durable, and this test is about the
-        // non-durable error path.
         let dir = temp_dir("off");
         let s = durable_server(&dir, Durability::Off);
         assert!(s.recover().is_err());

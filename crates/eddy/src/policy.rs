@@ -153,11 +153,6 @@ impl LotteryPolicy {
         self
     }
 
-    /// Current banked tickets (diagnostics).
-    pub fn tickets(&self) -> &[f64] {
-        &self.tickets
-    }
-
     fn ensure_len(&mut self, n: usize) {
         if self.tickets.len() < n {
             self.tickets.resize(n, 1.0);

@@ -473,7 +473,7 @@ mod tests {
         // Pin the level: under Speculative a degraded run only owes a
         // subsequence (a quarantined amendment may leave an instant
         // stale), so the "present instants are exact" half below is a
-        // Watermark-only contract — independent of TCQ_CONSISTENCY.
+        // Watermark-only contract.
         let mut e = ep(tcq_common::ShedPolicy::Block);
         e.consistency = Some(tcq_common::Consistency::Watermark);
         let oracle = OracleOutput {
@@ -540,8 +540,7 @@ mod tests {
         let report = diff_episode(&e, &run, &oracle);
         assert!(report.diffs[0].contains("cancels no delivered row"));
         // ...and a Watermark query never folds: re-delivering an
-        // instant or retracting from one is reported, not merged. The
-        // clause is explicit so TCQ_CONSISTENCY cannot flip the level.
+        // instant or retracting from one is reported, not merged.
         let wm_sql = "SELECT COUNT(*) AS n FROM quotes \
                       for (t = 1; t <= 2; t++) { WindowIs(quotes, 1, t); } \
                       WITH CONSISTENCY WATERMARK";

@@ -286,8 +286,8 @@ pub fn run_episode(ep: &Episode) -> Result<EpisodeRun, String> {
         shed_policy: ep.policy,
         durability: ep.durability,
         columnar: ep.columnar.unwrap_or(base.columnar),
-        on_storage_error: ep.on_storage_error.unwrap_or(base.on_storage_error),
-        consistency: ep.consistency.unwrap_or(base.consistency),
+        on_storage_error: ep.on_storage_error.unwrap_or_default(),
+        consistency: ep.consistency.unwrap_or_default(),
         archive_dir: archive_dir.clone(),
         // Large enough that the egress QoS shed (oldest result set
         // dropped when a client lags) never fires between settles —

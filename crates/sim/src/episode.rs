@@ -501,7 +501,7 @@ impl Episode {
                             stream: stream.to_string(),
                             seed,
                             fail_rate,
-                            rows: Vec::with_capacity(pending_srows),
+                            rows: Vec::new(),
                         }));
                     }
                     Some("wrapper") => {
@@ -675,6 +675,10 @@ mod tests {
         assert!(
             Episode::parse("step source s 1 0.5 2\nsrow 1 i:1").is_err(),
             "truncated source rows"
+        );
+        assert!(
+            Episode::parse("step source s 1 0 18446744073709551615").is_err(),
+            "a row count no input can back"
         );
     }
 

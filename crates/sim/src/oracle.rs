@@ -122,12 +122,10 @@ pub fn evaluate(ep: &Episode, run: &EpisodeRun) -> Result<OracleOutput, String> 
 }
 
 /// The consistency level an episode's clause-less queries run at: the
-/// episode pin when present, else the engine default (which honors the
-/// `TCQ_CONSISTENCY` environment override, exactly as the driver's
-/// `Config::default()` base does).
+/// episode pin when present, else the default level, exactly as the
+/// driver configures the server.
 pub fn episode_consistency(ep: &Episode) -> Consistency {
-    ep.consistency
-        .unwrap_or_else(|| tcq::Config::default().consistency)
+    ep.consistency.unwrap_or_default()
 }
 
 impl Episode {

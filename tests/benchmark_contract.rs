@@ -14,6 +14,7 @@ use std::process::Command;
 #[test]
 fn benchmark_still_builds_against_the_engine() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    #[allow(clippy::disallowed_methods)] // the cargo binary running this test
     let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
     let out = Command::new(cargo)
         .args(["check", "--locked", "--offline", "--manifest-path"])

@@ -766,18 +766,17 @@ proptest! {
 
     /// The Flux tentpole invariant: sharding the pipeline across EO
     /// partitions is invisible to clients. For random stream contents,
-    /// batch sizes, and partition counts, every query's output — row
-    /// order included — is byte-identical to the single-partition run.
+    /// batch sizes, partition counts, and execution paths (columnar or
+    /// row), every query's output — row order included — is
+    /// byte-identical to the single-partition run.
     #[test]
     fn partitioned_pipeline_equals_single_partition(
         prices in proptest::collection::vec(0i64..100, 4..60),
         keys in proptest::collection::vec(0i64..100, 0..60),
         batch in prop_oneof![Just(1usize), Just(7usize), Just(32usize)],
         partitions in prop_oneof![Just(2usize), Just(3usize), Just(4usize)],
+        columnar in any::<bool>(),
     ) {
-        // Honor the TCQ_COLUMNAR escape hatch so the CI matrix runs
-        // this invariant on both execution paths.
-        let columnar = tcq::Config::default().columnar;
         let reference = partitioned_answers(1, batch, columnar, &prices, &keys);
         let sharded = partitioned_answers(partitions, batch, columnar, &prices, &keys);
         prop_assert_eq!(reference, sharded);

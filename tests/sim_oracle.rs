@@ -304,6 +304,7 @@ fn corpus_queries() -> Vec<PathBuf> {
 
 #[test]
 fn oracle_corpus_matches_goldens() {
+    #[allow(clippy::disallowed_methods)] // a test-harness switch, not engine configuration
     let regen = std::env::var_os("TCQ_REGEN_GOLDEN").is_some();
     let planner = Planner::new(corpus_catalog());
     let (trace, punct) = corpus_trace();
@@ -354,10 +355,12 @@ fn oracle_corpus_matches_goldens() {
     );
 }
 
-/// Run one corpus query on a real step-mode server fed the fixed trace.
-fn run_engine(sql: &str) -> Vec<tcq::ResultSet> {
+/// Run one corpus query on a real step-mode server fed the fixed trace,
+/// with `consistency` as the default level.
+fn run_engine(sql: &str, consistency: Consistency) -> Vec<tcq::ResultSet> {
     let server = Server::start(Config {
         step_mode: true,
+        consistency,
         executor_threads: 2,
         seed: 7,
         batch_size: 2,
@@ -380,6 +383,10 @@ fn run_engine(sql: &str) -> Vec<tcq::ResultSet> {
     sets
 }
 
+/// Every corpus query on the engine matches the oracle at both
+/// consistency levels. The corpus trace is in event-time order, so the
+/// two levels must also release the same rows at the same instants
+/// (DESIGN §16).
 #[test]
 fn engine_agrees_with_oracle_on_corpus() {
     let planner = Planner::new(corpus_catalog());
@@ -395,54 +402,69 @@ fn engine_agrees_with_oracle_on_corpus() {
             continue;
         }
         let plan = planner.plan_sql(&sql).unwrap();
-        // The engine leg honors `TCQ_CONSISTENCY`; evaluate the oracle
-        // at the same level so the CI speculative leg stays comparable.
-        let oracle =
-            evaluate_plan(&plan, &trace, &punct, true, Config::default().consistency).unwrap();
-        let sets = run_engine(&sql);
-        match &oracle {
-            OracleQuery::Unwindowed { rows, exact_order } => {
-                let engine: Vec<String> = sets
-                    .iter()
-                    .flat_map(|rs| {
-                        assert!(rs.window_t.is_none(), "{name}: unexpected window result");
-                        rs.rows.iter().map(|t| render_values(t.fields()))
-                    })
-                    .collect();
-                let mut want: Vec<String> = rows.iter().map(|r| render_values(r)).collect();
-                if *exact_order {
-                    assert_eq!(engine, want, "{name}: ordered rows diverge");
-                } else {
-                    let mut got = engine;
-                    got.sort();
-                    want.sort();
-                    assert_eq!(got, want, "{name}: row multisets diverge");
+        let mut released = Vec::new();
+        for consistency in [Consistency::Watermark, Consistency::Speculative] {
+            let name = format!("{name} ({consistency})");
+            let oracle = evaluate_plan(&plan, &trace, &punct, true, consistency).unwrap();
+            let sets = run_engine(&sql, consistency);
+            match &oracle {
+                OracleQuery::Unwindowed { rows, exact_order } => {
+                    let engine: Vec<String> = sets
+                        .iter()
+                        .flat_map(|rs| {
+                            assert!(rs.window_t.is_none(), "{name}: unexpected window result");
+                            rs.rows.iter().map(|t| render_values(t.fields()))
+                        })
+                        .collect();
+                    let mut want: Vec<String> = rows.iter().map(|r| render_values(r)).collect();
+                    if *exact_order {
+                        assert_eq!(engine, want, "{name}: ordered rows diverge");
+                    } else {
+                        let mut got = engine;
+                        got.sort();
+                        want.sort();
+                        assert_eq!(got, want, "{name}: row multisets diverge");
+                    }
+                }
+                OracleQuery::Windowed { instants } => {
+                    let engine: Vec<(i64, Vec<String>)> = sets
+                        .iter()
+                        .map(|rs| {
+                            let t = rs.window_t.unwrap_or_else(|| {
+                                panic!("{name}: windowed query emitted a batch result")
+                            });
+                            let mut rows: Vec<String> =
+                                rs.rows.iter().map(|t| render_values(t.fields())).collect();
+                            rows.sort();
+                            (t, rows)
+                        })
+                        .collect();
+                    let want: Vec<(i64, Vec<String>)> = instants
+                        .iter()
+                        .map(|(t, rows)| {
+                            let mut rows: Vec<String> =
+                                rows.iter().map(|r| render_values(r)).collect();
+                            rows.sort();
+                            (*t, rows)
+                        })
+                        .collect();
+                    assert_eq!(engine, want, "{name}: window instants diverge");
                 }
             }
-            OracleQuery::Windowed { instants } => {
-                let engine: Vec<(i64, Vec<String>)> = sets
-                    .iter()
+            released.push(
+                sets.iter()
                     .map(|rs| {
-                        let t = rs.window_t.unwrap_or_else(|| {
-                            panic!("{name}: windowed query emitted a batch result")
-                        });
-                        let mut rows: Vec<String> =
+                        let rows: Vec<String> =
                             rs.rows.iter().map(|t| render_values(t.fields())).collect();
-                        rows.sort();
-                        (t, rows)
+                        (rs.window_t, rows)
                     })
-                    .collect();
-                let want: Vec<(i64, Vec<String>)> = instants
-                    .iter()
-                    .map(|(t, rows)| {
-                        let mut rows: Vec<String> = rows.iter().map(|r| render_values(r)).collect();
-                        rows.sort();
-                        (*t, rows)
-                    })
-                    .collect();
-                assert_eq!(engine, want, "{name}: window instants diverge");
-            }
+                    .collect::<Vec<_>>(),
+            );
         }
+        assert_eq!(
+            released[0], released[1],
+            "{name}: an in-order stream released differently at the two levels"
+        );
     }
 }
 
@@ -529,9 +551,8 @@ fn out_of_order_episode_smoke() {
 
 /// Replay every previously-shrunk reproducer in `tests/sim_corpus/`
 /// through the full `check_episode` loop from inside `cargo test`.
-/// The sim driver builds its server from `..Config::default()`, so the
-/// CI matrix (`TCQ_COLUMNAR` × `TCQ_PARTITIONS`) replays the corpus on
-/// both execution paths, not just the one `tcq-sim --smoke` ran under.
+/// An episode that pins no `columnar` line replays on both execution
+/// paths, columnar and row.
 #[test]
 fn sim_corpus_replays_cleanly() {
     silence_injected_fault_panics();
@@ -547,11 +568,21 @@ fn sim_corpus_replays_cleanly() {
         let name = path.file_name().unwrap().to_string_lossy();
         let text = std::fs::read_to_string(path).unwrap();
         let ep = sim::Episode::parse(&text).unwrap_or_else(|e| panic!("{name}: parse: {e}"));
-        let failures = check_episode(&ep);
-        assert!(
-            failures.is_empty(),
-            "{name} failed:\n{}",
-            failures.join("\n")
-        );
+        let paths = match ep.columnar {
+            Some(columnar) => vec![columnar],
+            None => vec![true, false],
+        };
+        for columnar in paths {
+            let ep = sim::Episode {
+                columnar: Some(columnar),
+                ..ep.clone()
+            };
+            let failures = check_episode(&ep);
+            assert!(
+                failures.is_empty(),
+                "{name} (columnar {columnar}) failed:\n{}",
+                failures.join("\n")
+            );
+        }
     }
 }

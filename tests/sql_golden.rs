@@ -137,6 +137,7 @@ fn render(name: &str, sql: &str) -> String {
 #[test]
 fn sql_corpus_matches_goldens() {
     let dir = corpus_dir();
+    #[allow(clippy::disallowed_methods)] // a test-harness switch, not engine configuration
     let regen = std::env::var_os("TCQ_REGEN_GOLDEN").is_some();
     let mut queries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("corpus dir {}: {e}", dir.display()))

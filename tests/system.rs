@@ -452,7 +452,8 @@ fn order_by_windowed_sets() {
 /// the `Server::metrics()` snapshot.
 #[test]
 fn introspection_streams_queryable_live() {
-    let s = Server::start(Config::default()).unwrap();
+    let cfg = Config::default();
+    let s = Server::start(cfg.clone()).unwrap();
     s.register_stream("ClosingStockPrices", stock_schema())
         .unwrap();
     let queues = s
@@ -479,9 +480,7 @@ fn introspection_streams_queryable_live() {
 
     let rows: Vec<_> = queues.drain().into_iter().flat_map(|r| r.rows).collect();
     // One EO input queue per worker: `partitions` exchange workers when
-    // partitioning is on (e.g. the TCQ_PARTITIONS=4 CI shard), else the
-    // classic `executor_threads` pool.
-    let cfg = Config::default();
+    // partitioning is on, else the classic `executor_threads` pool.
     let n_eos = if cfg.partitions > 1 {
         cfg.partitions
     } else {
